@@ -1,77 +1,7 @@
-"""Bayesian parameter estimation with two-qubit probes under dephasing noise."""
+"""Bayesian parameter estimation with two-qubit probes under dephasing noise.
 
-from .bayes import (
-    ConfidenceInterval,
-    ConvergenceError,
-    DegenerateEvidenceError,
-    PosteriorGrid,
-    interval_probability,
-    likelihood,
-    min_confidence_interval,
-    most_probable,
-    posterior,
-)
-from .ensemble import (
-    EnsembleMetrics,
-    EstimationResult,
-    SweepResult,
-    SweepRow,
-    TrialConfig,
-    asymptotic_relative_bound,
-    ensemble_metrics,
-    relative_uncertainty,
-    run_trial,
-    sample_outcomes,
-    sweep,
-    trial_stream,
-)
-from .quantum import (
-    NOISELESS,
-    NoiseModel,
-    dephase_two_qubit,
-    dephasing_kraus,
-    evolve_pure,
-    measurement_probabilities,
-    noisy_rotation,
-    probe_state,
-    profile_grid,
-    pure_to_density,
-    rotation_unitary,
-)
-
-__all__ = [
-    "ConfidenceInterval",
-    "ConvergenceError",
-    "DegenerateEvidenceError",
-    "EnsembleMetrics",
-    "EstimationResult",
-    "NOISELESS",
-    "NoiseModel",
-    "PosteriorGrid",
-    "SweepResult",
-    "SweepRow",
-    "TrialConfig",
-    "asymptotic_relative_bound",
-    "dephase_two_qubit",
-    "dephasing_kraus",
-    "ensemble_metrics",
-    "evolve_pure",
-    "interval_probability",
-    "likelihood",
-    "measurement_probabilities",
-    "min_confidence_interval",
-    "most_probable",
-    "noisy_rotation",
-    "posterior",
-    "probe_state",
-    "profile_grid",
-    "pure_to_density",
-    "relative_uncertainty",
-    "rotation_unitary",
-    "run_trial",
-    "sample_outcomes",
-    "sweep",
-    "trial_stream",
-]
+The API is the submodules: quantum, bayes, ensemble, config, report,
+svgplot and cli.
+"""
 
 __version__ = "0.1.0"

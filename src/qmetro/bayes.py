@@ -6,13 +6,14 @@ are accumulated in log space so large measurement counts do not underflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 DEFAULT_GRID_SIZE = 1024
+DEFAULT_Y = 0.95  # posterior mass of the confidence interval
+DEFAULT_TAU = 1e-3  # tolerance on that mass
 
 
 class DegenerateEvidenceError(ValueError):
@@ -59,30 +60,13 @@ def _as_counts(counts: Sequence[int]) -> np.ndarray:
     return k
 
 
-def log_multinomial_coeff(counts: Sequence[int]) -> float:
-    """log[nu! / (k1! k2! k3! k4!)] with nu = sum of counts."""
-    k = _as_counts(counts)
-    return math.lgamma(int(k.sum()) + 1) - sum(math.lgamma(int(ki) + 1) for ki in k)
-
-
-def likelihood(profile_at: Callable[[float], np.ndarray], counts: Sequence[int], phi: float) -> float:
-    """Unnormalized multinomial likelihood of the counts at angle phi, with 0**0 = 1."""
-    k = _as_counts(counts)
-    probs = np.asarray(profile_at(phi), dtype=float)
-    value = math.exp(log_multinomial_coeff(k))
-    for ki, pi in zip(k, probs):
-        if ki > 0:
-            value *= pi ** int(ki)
-    return value
-
-
 def posterior_from_log_profiles(
     nodes: np.ndarray,
     log_profiles: np.ndarray,
     counts: Sequence[int],
-    log_prior: np.ndarray | None = None,
 ) -> PosteriorGrid:
-    """Posterior from precomputed per-node log outcome probabilities (shape (G, 4)).
+    """Posterior from per-node log outcome probabilities (shape (G, 4)), as built
+    by ensemble.grid_tables.
 
     The multinomial prefactor is omitted; it cancels in normalization.
     """
@@ -92,8 +76,6 @@ def posterior_from_log_profiles(
         log_post = log_profiles[:, sel] @ k[sel].astype(float)
     else:
         log_post = np.zeros(len(nodes))
-    if log_prior is not None:
-        log_post = log_post + log_prior
     peak = np.max(log_post)
     if not np.isfinite(peak):
         raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {list(k)}")
@@ -104,36 +86,6 @@ def posterior_from_log_profiles(
     if norm <= 0.0:
         raise DegenerateEvidenceError(f"posterior mass is zero for counts {list(k)}")
     return PosteriorGrid(nodes=nodes, density=density / norm, cumulative=cumulative / norm)
-
-
-def posterior(
-    profile_at: Callable[[float], np.ndarray],
-    counts: Sequence[int],
-    domain: tuple[float, float],
-    grid_size: int = DEFAULT_GRID_SIZE,
-    prior: Callable[[float], float] | None = None,
-) -> PosteriorGrid:
-    """Normalized posterior over the domain on a uniform grid.
-
-    prior is an optional weight function w(phi) >= 0 (default: uniform).
-    """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"domain must be finite with lo < hi, got {domain}")
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be >= 3, got {grid_size}")
-    nodes = np.linspace(lo, hi, grid_size)
-    profiles = np.array([np.asarray(profile_at(x), dtype=float) for x in nodes])
-    with np.errstate(divide="ignore"):
-        log_profiles = np.log(np.clip(profiles, 0.0, None))
-    log_prior = None
-    if prior is not None:
-        weights = np.array([float(prior(x)) for x in nodes])
-        if np.any(weights < 0) or not np.any(weights > 0):
-            raise ValueError("prior weights must be nonnegative and not identically zero")
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(weights)
-    return posterior_from_log_profiles(nodes, log_profiles, counts, log_prior)
 
 
 def most_probable(grid: PosteriorGrid) -> float:
@@ -167,8 +119,8 @@ def interval_probability(grid: PosteriorGrid, a: float, b: float) -> float:
 
 def min_confidence_interval(
     grid: PosteriorGrid,
-    y: float = 0.95,
-    tau: float = 1e-3,
+    y: float = DEFAULT_Y,
+    tau: float = DEFAULT_TAU,
     max_refine: int = 100,
 ) -> ConfidenceInterval:
     """Shortest interval whose posterior mass is within tau of the target y.

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bayes import DEFAULT_GRID_SIZE, DEFAULT_TAU, DEFAULT_Y
+from .ensemble import DEFAULT_DOMAIN
+
 
 class ConfigError(ValueError):
     """Malformed, out-of-range, or unknown configuration entry."""
@@ -12,7 +15,6 @@ class ConfigError(ValueError):
 
 DEFAULT_ALPHAS = (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5)
 DEFAULT_NUS = tuple(range(1, 11))
-DEFAULT_DOMAIN = (0.0, math.pi / 2)
 
 
 @dataclass
@@ -23,9 +25,9 @@ class ExperimentConfig:
     nus: tuple[int, ...] = DEFAULT_NUS
     n_e: int | None = None  # defaults depend on eta, see resolved_n_e
     n_phi: int | None = None
-    grid_size: int = 1024
-    y: float = 0.95
-    tau: float = 1e-3
+    grid_size: int = DEFAULT_GRID_SIZE
+    y: float = DEFAULT_Y
+    tau: float = DEFAULT_TAU
     domain: tuple[float, float] = DEFAULT_DOMAIN
     seed: int = 0
     output_path: str = "results.csv"
@@ -69,6 +71,13 @@ def _parse_int(key, line_no, raw, lo=None, hi=None) -> int:
     return value
 
 
+def _parse_list(key, line_no, raw, parse, lo=None, hi=None) -> tuple:
+    values = tuple(parse(key, line_no, part, lo, hi) for part in raw.split(","))
+    if len(set(values)) < len(values):
+        _fail(key, line_no, f"duplicate values in {raw!r}")
+    return values
+
+
 def parse_config(source: str) -> ExperimentConfig:
     """Parse a key=value document (one entry per line, '#' comments).
 
@@ -85,15 +94,13 @@ def parse_config(source: str) -> ExperimentConfig:
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key == "alphas":
-            cfg.alphas = tuple(
-                _parse_float(key, line_no, part, 0.0, 1.0) for part in raw.split(",")
-            )
+            cfg.alphas = _parse_list(key, line_no, raw, _parse_float, 0.0, 1.0)
         elif key == "eta":
             cfg.eta = _parse_float(key, line_no, raw, 0.0, 1.0)
         elif key == "n_steps":
             cfg.n_steps = _parse_int(key, line_no, raw, 1)
         elif key == "nus":
-            cfg.nus = tuple(_parse_int(key, line_no, part, 0) for part in raw.split(","))
+            cfg.nus = _parse_list(key, line_no, raw, _parse_int, 0)
         elif key == "n_e":
             cfg.n_e = _parse_int(key, line_no, raw, 2)
         elif key == "n_phi":

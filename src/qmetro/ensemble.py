@@ -1,4 +1,4 @@
-"""Monte Carlo ensembles: seeded outcome sampling, repeated estimations, and sweeps.
+"""Monte Carlo ensembles: seeded outcome sampling, per-record estimates, and sweeps.
 
 Every trial draws from its own random stream, derived from the master seed
 and the (alpha index, nu index, angle index, trial index) cell coordinates,
@@ -17,7 +17,8 @@ import numpy as np
 
 from .bayes import (
     DEFAULT_GRID_SIZE,
-    DegenerateEvidenceError,
+    DEFAULT_TAU,
+    DEFAULT_Y,
     min_confidence_interval,
     most_probable,
     posterior_from_log_profiles,
@@ -25,33 +26,6 @@ from .bayes import (
 from .quantum import NoiseModel, measurement_probabilities, profile_grid
 
 DEFAULT_DOMAIN = (0.0, math.pi / 2)
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    alpha: float
-    noise: NoiseModel
-    nu: int
-    true_phi: float
-    domain: tuple[float, float] = DEFAULT_DOMAIN
-    grid_size: int = DEFAULT_GRID_SIZE
-    y: float = 0.95
-    tau: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.y < 1.0:
-            raise ValueError(f"y must be in (0, 1), got {self.y}")
-        if self.nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        lo, hi = self.domain
-        if not lo <= self.true_phi <= hi:
-            raise ValueError(f"true_phi {self.true_phi} outside domain {self.domain}")
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    phi_mp: float
-    l_ci: float
 
 
 @dataclass(frozen=True)
@@ -102,48 +76,33 @@ def sample_outcomes(profile: np.ndarray, nu: int, stream: np.random.Generator) -
 
 
 @lru_cache(maxsize=64)
-def _grid_tables(alpha: float, eta: float, n_steps: int, lo: float, hi: float, grid_size: int):
-    """Per-configuration tables: grid nodes and (log) outcome probabilities.
+def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], grid_size: int):
+    """Posterior grid nodes over domain = (lo, hi) and their log outcome
+    probabilities, shape (grid_size, 4).
 
-    Cached so the quantum channel is evaluated once per grid node per
-    (alpha, noise) configuration and shared across all trials.
+    The one builder of posterior grids, for sweeps and single posteriors
+    alike. Cached so the quantum channel is evaluated once per grid node per
+    configuration and shared across all trials.
     """
+    lo, hi = domain
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"domain must be finite with lo < hi, got {domain}")
+    if grid_size < 3:
+        raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     nodes = np.linspace(lo, hi, grid_size)
-    profiles = profile_grid(alpha, nodes, NoiseModel(eta, n_steps))
     with np.errstate(divide="ignore"):
-        log_profiles = np.log(profiles)
-    return nodes, profiles, log_profiles
+        log_profiles = np.log(profile_grid(alpha, nodes, noise))
+    # the cache hands these same arrays to every caller
+    nodes.setflags(write=False)
+    log_profiles.setflags(write=False)
+    return nodes, log_profiles
 
 
-def _estimate_from_counts(nodes, log_profiles, counts, y, tau) -> EstimationResult:
+def _estimate_from_counts(nodes, log_profiles, counts, y, tau) -> tuple[float, float]:
+    """Most probable angle and shortest-interval length for one count record."""
     grid = posterior_from_log_profiles(nodes, log_profiles, counts)
     ci = min_confidence_interval(grid, y, tau)
-    return EstimationResult(phi_mp=most_probable(grid), l_ci=ci.length)
-
-
-def run_trial(cfg: TrialConfig, stream: np.random.Generator) -> EstimationResult:
-    """One simulated estimation: sample counts at the true angle, then estimate."""
-    lo, hi = cfg.domain
-    nodes, _, log_profiles = _grid_tables(
-        cfg.alpha, cfg.noise.eta, cfg.noise.n_steps, lo, hi, cfg.grid_size
-    )
-    profile = measurement_probabilities(cfg.alpha, cfg.true_phi, cfg.noise)
-    counts = sample_outcomes(profile, cfg.nu, stream)
-    try:
-        return _estimate_from_counts(nodes, log_profiles, counts, cfg.y, cfg.tau)
-    except DegenerateEvidenceError:
-        # defensive: cannot occur when counts are drawn from the model itself
-        counts = sample_outcomes(profile, cfg.nu, stream)
-        return _estimate_from_counts(nodes, log_profiles, counts, cfg.y, cfg.tau)
-
-
-def ensemble_metrics(results: Sequence[EstimationResult]) -> EnsembleMetrics:
-    """Sample means and (N-1)-denominator standard deviations over a trial set."""
-    if len(results) < 2:
-        raise ValueError(f"need at least 2 results, got {len(results)}")
-    phi_mp = np.array([r.phi_mp for r in results])
-    l_ci = np.array([r.l_ci for r in results])
-    return _metrics_from_arrays(phi_mp, l_ci)
+    return most_probable(grid), ci.length
 
 
 def _metrics_from_arrays(phi_mp: np.ndarray, l_ci: np.ndarray) -> EnsembleMetrics:
@@ -163,8 +122,7 @@ def sweep_angles(domain: tuple[float, float], n_phi: int) -> np.ndarray:
 
 def _run_cell(args) -> SweepRow:
     (alpha, a_idx, noise, nu, nu_idx, phis, n_e, seed, domain, grid_size, y, tau) = args
-    lo, hi = domain
-    nodes, _, log_profiles = _grid_tables(alpha, noise.eta, noise.n_steps, lo, hi, grid_size)
+    nodes, log_profiles = grid_tables(alpha, noise, domain, grid_size)
     per_phi = []
     for p_idx, phi in enumerate(phis):
         profile = measurement_probabilities(alpha, phi, noise)
@@ -174,8 +132,8 @@ def _run_cell(args) -> SweepRow:
         # identical count records yield identical estimates; solve each once
         unique, inverse = np.unique(counts, axis=0, return_inverse=True)
         estimates = [_estimate_from_counts(nodes, log_profiles, c, y, tau) for c in unique]
-        phi_mp = np.array([estimates[k].phi_mp for k in inverse])
-        l_ci = np.array([estimates[k].l_ci for k in inverse])
+        phi_mp = np.array([estimates[k][0] for k in inverse])
+        l_ci = np.array([estimates[k][1] for k in inverse])
         per_phi.append(_metrics_from_arrays(phi_mp, l_ci))
     return SweepRow(
         alpha=alpha,
@@ -197,8 +155,8 @@ def sweep(
     seed: int,
     domain: tuple[float, float] = DEFAULT_DOMAIN,
     grid_size: int = DEFAULT_GRID_SIZE,
-    y: float = 0.95,
-    tau: float = 1e-3,
+    y: float = DEFAULT_Y,
+    tau: float = DEFAULT_TAU,
     workers: int = 1,
 ) -> SweepResult:
     """Run n_e trials at each of n_phi true angles for every (alpha, nu) cell."""
@@ -206,6 +164,11 @@ def sweep(
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
     if n_e < 2:
         raise ValueError(f"n_e must be >= 2, got {n_e}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    for name, values in (("alphas", alphas), ("nus", nus)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must be distinct, got {list(values)}")
     phis = sweep_angles(domain, n_phi)
     tasks = [
         (alpha, a_idx, noise, int(nu), nu_idx, phis, n_e, seed, domain, grid_size, y, tau)

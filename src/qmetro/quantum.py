@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BASIS_LABELS = ("dd", "du", "ud", "uu")
-
 # (qubit-1 bit, qubit-2 bit) of each basis index
 _BITS = np.array([(i >> 1, i & 1) for i in range(4)])
 
@@ -48,39 +46,10 @@ def probe_state(alpha: float) -> np.ndarray:
     return np.array([0.0, np.sqrt(alpha), np.sqrt(1.0 - alpha), 0.0], dtype=complex)
 
 
-def single_qubit_rotation(phi: float) -> np.ndarray:
-    """Real 2x2 rotation [[cos(phi/2), sin(phi/2)], [-sin(phi/2), cos(phi/2)]]."""
-    if not np.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    return np.array([[c, s], [-s, c]])
-
-
-def rotation_unitary(phi: float) -> np.ndarray:
-    """Two-qubit rotation R(phi) (x) R(phi), acting independently on each qubit."""
-    r = single_qubit_rotation(phi)
-    return np.kron(r, r).astype(complex)
-
-
-def evolve_pure(state: np.ndarray, phi: float) -> np.ndarray:
-    """Apply the two-qubit rotation to a pure state."""
-    return rotation_unitary(phi) @ np.asarray(state, dtype=complex)
-
-
 def pure_to_density(state: np.ndarray) -> np.ndarray:
     """Rank-1 density matrix |psi><psi|."""
     psi = np.asarray(state, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def dephasing_kraus(eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-qubit dephasing Kraus pair (K0, K1) for strength eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    root = np.sqrt(eta)
-    k0 = np.sqrt((1.0 + root) / 2.0) * np.eye(2)
-    k1 = np.sqrt((1.0 - root) / 2.0) * np.diag([1.0, -1.0])
-    return k0, k1
 
 
 def _dephase_mask(eta: float) -> np.ndarray:
@@ -88,30 +57,14 @@ def _dephase_mask(eta: float) -> np.ndarray:
     return np.sqrt(eta) ** _DIFF_COUNT
 
 
-def dephase_two_qubit(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Apply the 4-term tensor-product dephasing channel to a 4x4 density matrix.
-
-    Equals sum_{j,l} (K_j (x) K_l) rho (K_j (x) K_l)^dagger; the diagonal is
-    preserved exactly and each off-diagonal entry is scaled by sqrt(eta) per
-    qubit on which the row and column basis labels differ.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return np.asarray(rho, dtype=complex) * _dephase_mask(eta)
-
-
-def noisy_rotation(rho: np.ndarray, phi: float, noise: NoiseModel) -> np.ndarray:
-    """n_steps repetitions of [dephase by eta, then rotate by phi/n_steps]."""
-    u = rotation_unitary(phi / noise.n_steps)
-    mask = _dephase_mask(noise.eta)
-    out = np.asarray(rho, dtype=complex)
-    for _ in range(noise.n_steps):
-        out = u @ (out * mask) @ u.conj().T
-    return out
-
-
 def _rotation_batch(phis: np.ndarray) -> np.ndarray:
-    """Stack of two-qubit rotation matrices, shape (len(phis), 4, 4)."""
+    """Stack of two-qubit rotations R(phi) (x) R(phi), shape (len(phis), 4, 4).
+
+    Each qubit turns by the real 2x2 R(phi) = [[cos(phi/2), sin(phi/2)],
+    [-sin(phi/2), cos(phi/2)]].
+    """
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("all angles must be finite")
     c, s = np.cos(phis / 2.0), np.sin(phis / 2.0)
     r = np.empty((len(phis), 2, 2))
     r[:, 0, 0] = c
@@ -121,6 +74,23 @@ def _rotation_batch(phis: np.ndarray) -> np.ndarray:
     return np.einsum("gij,gkl->gikjl", r, r).reshape(len(phis), 4, 4)
 
 
+def noisy_rotation(rho: np.ndarray, phis: float | np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """n_steps repetitions of [dephase by eta, then rotate by phi/n_steps], per angle.
+
+    phis is one angle or an array of them; the result has shape
+    np.shape(phis) + (4, 4).
+    """
+    phis = np.asarray(phis, dtype=float)
+    flat = phis.reshape(-1)
+    out = np.broadcast_to(np.asarray(rho, dtype=complex), (len(flat), 4, 4)).copy()
+    u = _rotation_batch(flat / noise.n_steps)
+    ut = u.transpose(0, 2, 1)  # real, so transpose == conjugate transpose
+    mask = _dephase_mask(noise.eta)
+    for _ in range(noise.n_steps):
+        out = u @ (out * mask) @ ut
+    return out.reshape(phis.shape + (4, 4))
+
+
 def profile_grid(alpha: float, phis: np.ndarray, noise: NoiseModel = NOISELESS) -> np.ndarray:
     """Outcome probabilities for each angle in phis, shape (len(phis), 4).
 
@@ -128,20 +98,12 @@ def profile_grid(alpha: float, phis: np.ndarray, noise: NoiseModel = NOISELESS) 
     the density-matrix channel. Rows are clamped to [0, 1].
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if not np.all(np.isfinite(phis)):
-        raise ValueError("all angles must be finite")
     if noise.eta == 1.0:
-        psi = probe_state(alpha)
-        amps = _rotation_batch(phis) @ psi
+        amps = _rotation_batch(phis) @ probe_state(alpha)
         probs = np.abs(amps) ** 2
     else:
-        rho = np.broadcast_to(pure_to_density(probe_state(alpha)), (len(phis), 4, 4)).copy()
-        u = _rotation_batch(phis / noise.n_steps)
-        ut = u.transpose(0, 2, 1)  # real, so transpose == conjugate transpose
-        mask = _dephase_mask(noise.eta)
-        for _ in range(noise.n_steps):
-            rho = u @ (rho * mask) @ ut
-        probs = np.diagonal(rho, axis1=1, axis2=2).real.copy()
+        rho = noisy_rotation(pure_to_density(probe_state(alpha)), phis, noise)
+        probs = np.diagonal(rho, axis1=1, axis2=2).real
     return np.clip(probs, 0.0, 1.0)
 
 

@@ -9,19 +9,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qmetro.bayes import min_confidence_interval, posterior
+from qmetro.bayes import min_confidence_interval, posterior_from_log_profiles
 from qmetro.cli import main
-from qmetro.ensemble import relative_uncertainty, sweep
-from qmetro.quantum import (
-    NoiseModel,
-    dephasing_kraus,
-    evolve_pure,
-    measurement_probabilities,
-    noisy_rotation,
-    probe_state,
-    pure_to_density,
-    rotation_unitary,
-)
+from qmetro.ensemble import grid_tables, relative_uncertainty, sweep
+from qmetro.quantum import NOISELESS, NoiseModel, noisy_rotation, probe_state, pure_to_density
+
+from oracles import dephasing_kraus, evolve_pure, rotation_unitary
 
 SEED = 42
 ALL_ALPHAS = (0.0, 1 / 6, 1 / 3, 0.5)
@@ -138,8 +131,8 @@ def test_criterion_6_high_noise_regime(high_noise_rel):
 
 
 def test_criterion_7_analytic_posterior_oracle():
-    profile_at = lambda phi: measurement_probabilities(1.0, phi)
-    grid = posterior(profile_at, [0, 1, 0, 0], (0.0, math.pi), grid_size=2048)
+    nodes, log_profiles = grid_tables(1.0, NOISELESS, (0.0, math.pi), 2048)
+    grid = posterior_from_log_profiles(nodes, log_profiles, [0, 1, 0, 0])
     expected = (8 / (3 * math.pi)) * np.cos(grid.nodes / 2) ** 4
     max_dev = float(np.max(np.abs(grid.density - expected)))
 

@@ -5,20 +5,37 @@ import pytest
 from scipy.optimize import brentq
 
 from qmetro.bayes import (
+    DEFAULT_GRID_SIZE,
     DegenerateEvidenceError,
     interval_probability,
-    likelihood,
     min_confidence_interval,
     most_probable,
-    posterior,
+    posterior_from_log_profiles,
 )
+from qmetro.ensemble import grid_tables
 from qmetro.quantum import NOISELESS, measurement_probabilities
+
+from oracles import likelihood
 
 HALF_PI = np.pi / 2
 
 
 def probe_profile(alpha, noise=NOISELESS):
     return lambda phi: measurement_probabilities(alpha, phi, noise)
+
+
+def posterior(alpha, counts, domain=(0.0, HALF_PI), grid_size=DEFAULT_GRID_SIZE):
+    """Noiseless-probe posterior through the table builder the sweep uses."""
+    nodes, log_profiles = grid_tables(alpha, NOISELESS, domain, grid_size)
+    return posterior_from_log_profiles(nodes, log_profiles, counts)
+
+
+def custom_posterior(profile_at, counts):
+    """Posterior for an arbitrary outcome-probability function on the default grid."""
+    nodes = np.linspace(0.0, HALF_PI, DEFAULT_GRID_SIZE)
+    with np.errstate(divide="ignore"):
+        log_profiles = np.log([profile_at(x) for x in nodes])
+    return posterior_from_log_profiles(nodes, log_profiles, counts)
 
 
 def cos4_cdf(b):
@@ -46,13 +63,13 @@ class TestLikelihood:
 
 class TestPosterior:
     def test_no_data_uniform(self):
-        grid = posterior(probe_profile(0.5), [0, 0, 0, 0], (0.0, HALF_PI), grid_size=257)
+        grid = posterior(0.5, [0, 0, 0, 0], grid_size=257)
         assert np.allclose(grid.density, 2 / np.pi, atol=1e-12)
         assert grid.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_cos4_closed_form(self):
         # normalization over [0, pi] is 3*pi/8
-        grid = posterior(probe_profile(1.0), [0, 1, 0, 0], (0.0, np.pi), grid_size=2048)
+        grid = posterior(1.0, [0, 1, 0, 0], (0.0, np.pi), grid_size=2048)
         expected = (8 / (3 * np.pi)) * np.cos(grid.nodes / 2) ** 4
         assert np.max(np.abs(grid.density - expected)) <= 1e-4
 
@@ -60,7 +77,7 @@ class TestPosterior:
         rng = np.random.default_rng(21)
         for _ in range(10):
             counts = rng.multinomial(int(rng.integers(1, 30)), [0.25] * 4)
-            grid = posterior(probe_profile(rng.uniform(0, 1)), counts, (0.0, HALF_PI))
+            grid = posterior(rng.uniform(0, 1), counts)
             assert grid.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
             assert np.all(np.diff(grid.cumulative) >= 0)
             assert np.all(grid.density >= 0)
@@ -68,41 +85,41 @@ class TestPosterior:
     def test_degenerate_evidence(self):
         dead = lambda phi: np.array([0.0, 1.0, 0.0, 0.0])
         with pytest.raises(DegenerateEvidenceError):
-            posterior(dead, [1, 0, 0, 0], (0.0, HALF_PI))
+            custom_posterior(dead, [1, 0, 0, 0])
 
     def test_prefactor_cancels(self):
         f = probe_profile(0.4)
         counts = [3, 1, 2, 4]
-        grid = posterior(f, counts, (0.0, HALF_PI), grid_size=301)
+        grid = posterior(0.4, counts, grid_size=301)
         # normalize raw likelihood values (prefactor included) independently
         raw = np.array([likelihood(f, counts, x) for x in grid.nodes])
         raw /= np.trapezoid(raw, grid.nodes)
         assert np.max(np.abs(grid.density - raw)) <= 1e-12
 
     def test_bad_grid_size(self):
-        with pytest.raises(ValueError):
-            posterior(probe_profile(0.5), [0, 0, 0, 0], (0.0, HALF_PI), grid_size=2)
+        with pytest.raises(ValueError, match="grid_size must be >= 3, got 2"):
+            posterior(0.5, [0, 0, 0, 0], grid_size=2)
 
 
 class TestMostProbable:
     def test_uniform_tie_breaks_low(self):
-        grid = posterior(probe_profile(0.5), [0, 0, 0, 0], (0.25, HALF_PI))
+        grid = posterior(0.5, [0, 0, 0, 0], (0.25, HALF_PI))
         assert most_probable(grid) == 0.25
 
     def test_decreasing_density_argmax_at_zero(self):
-        grid = posterior(probe_profile(1.0), [0, 1, 0, 0], (0.0, np.pi))
+        grid = posterior(1.0, [0, 1, 0, 0], (0.0, np.pi))
         assert most_probable(grid) == 0.0
 
     def test_sin_squared_argmax_at_upper_edge(self):
         f = lambda phi: np.array([np.sin(phi) ** 2, np.cos(phi) ** 2, 0.0, 0.0])
-        grid = posterior(f, [1, 0, 0, 0], (0.0, HALF_PI))
+        grid = custom_posterior(f, [1, 0, 0, 0])
         assert most_probable(grid) == pytest.approx(HALF_PI)
 
 
 class TestIntervalProbability:
     @pytest.fixture
     def uniform(self):
-        return posterior(probe_profile(0.5), [0, 0, 0, 0], (0.0, HALF_PI))
+        return posterior(0.5, [0, 0, 0, 0])
 
     def test_full_domain(self, uniform):
         assert interval_probability(uniform, 0.0, HALF_PI) == pytest.approx(1.0, abs=1e-9)
@@ -120,14 +137,14 @@ class TestIntervalProbability:
 
 class TestMinConfidenceInterval:
     def test_uniform_length(self):
-        grid = posterior(probe_profile(0.5), [0, 0, 0, 0], (0.0, HALF_PI))
+        grid = posterior(0.5, [0, 0, 0, 0])
         ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
         spacing = grid.nodes[1] - grid.nodes[0]
         assert abs(ci.length - 0.95 * HALF_PI) <= 2 * spacing
         assert abs(ci.mass - 0.95) <= 1e-3
 
     def test_cos4_against_root_finding(self):
-        grid = posterior(probe_profile(1.0), [0, 1, 0, 0], (0.0, np.pi), grid_size=2048)
+        grid = posterior(1.0, [0, 1, 0, 0], (0.0, np.pi), grid_size=2048)
         ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
         # density decreases on [0, pi]: optimal interval is anchored at 0
         norm = cos4_cdf(np.pi)
@@ -140,7 +157,7 @@ class TestMinConfidenceInterval:
         rng = np.random.default_rng(22)
         for _ in range(20):
             counts = rng.multinomial(int(rng.integers(0, 12)), [0.25] * 4)
-            grid = posterior(probe_profile(rng.uniform(0, 1)), counts, (0.0, HALF_PI))
+            grid = posterior(rng.uniform(0, 1), counts)
             ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
             assert abs(ci.mass - 0.95) <= 1e-3
             assert abs(interval_probability(grid, ci.a, ci.b) - ci.mass) <= 1e-12
@@ -149,7 +166,7 @@ class TestMinConfidenceInterval:
         rng = np.random.default_rng(23)
         for _ in range(5):
             counts = rng.multinomial(8, [0.25] * 4)
-            grid = posterior(probe_profile(0.35), counts, (0.0, HALF_PI), grid_size=256)
+            grid = posterior(0.35, counts, grid_size=256)
             ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
             # scan threshold is the target mass y itself; see decisions ledger
             c, nodes = grid.cumulative, grid.nodes
@@ -159,7 +176,7 @@ class TestMinConfidenceInterval:
                         assert nodes[j] - nodes[i] >= ci.length - 1e-12
 
     def test_invalid_arguments(self):
-        grid = posterior(probe_profile(0.5), [0, 0, 0, 0], (0.0, HALF_PI))
+        grid = posterior(0.5, [0, 0, 0, 0])
         with pytest.raises(ValueError):
             min_confidence_interval(grid, y=1.2)
         with pytest.raises(ValueError):
@@ -175,8 +192,8 @@ class TestMinConfidenceInterval:
         for _ in range(200):
             c5 = rng.multinomial(5, p)
             c10 = c5 + rng.multinomial(5, p)
-            l5 = min_confidence_interval(posterior(f, c5, (0.0, HALF_PI), 512)).length
-            l10 = min_confidence_interval(posterior(f, c10, (0.0, HALF_PI), 512)).length
+            l5 = min_confidence_interval(posterior(0.3, c5, grid_size=512)).length
+            l10 = min_confidence_interval(posterior(0.3, c10, grid_size=512)).length
             diffs.append(l10 - l5)
         diffs = np.array(diffs)
         sem = diffs.std(ddof=1) / np.sqrt(len(diffs))

@@ -1,10 +1,15 @@
 """Config parsing, CLI subcommands, CSV schema, and SVG emission."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmetro
 from qmetro.cli import main
 from qmetro.config import ConfigError, parse_config
 from qmetro.report import CSV_HEADER, format_number, parse_csv, render_csv, rows_from_sweep
@@ -50,6 +55,11 @@ class TestParseConfig:
     def test_bad_domain(self):
         with pytest.raises(ConfigError, match="lo < hi"):
             parse_config("domain=2,1")
+
+    @pytest.mark.parametrize("key, raw", [("alphas", "0,0.5,0.0"), ("nus", "1,2,1")])
+    def test_duplicate_list_values(self, key, raw):
+        with pytest.raises(ConfigError, match=f"line 2: key '{key}': duplicate values"):
+            parse_config(f"eta=1\n{key}={raw}")
 
 
 class TestProbsCommand:
@@ -104,6 +114,25 @@ class TestPosteriorCommand:
         code = main(["posterior", "--counts", "1,0,0,0", "--output", str(out)])
         assert code == 3
         assert "counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--grid-size", "2", "grid_size must be >= 3, got 2"),
+            ("--grid-size", "1", "grid_size must be >= 3, got 1"),
+            ("--domain", "0,inf", "got (0.0, inf)"),
+        ],
+        ids=["grid-size-2", "grid-size-1", "domain-inf"],
+    )
+    def test_bad_grid_rejected(self, tmp_path, flag, value, named):
+        # a fresh interpreter, so any numpy warning would reach stderr as a user sees it
+        out = tmp_path / "post.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+        argv = [sys.executable, "-m", "qmetro.cli", "posterior", flag, value, "--output", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert named in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
 
     def test_plot_emitted_and_deterministic(self, tmp_path):
         out = tmp_path / "post.csv"
@@ -165,6 +194,14 @@ class TestSweepCommand:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 4
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, config_path, capsys, workers):
+        out = tmp_path / "r.csv"
+        args = ["sweep", "--config", str(config_path), "--output", str(out), "--workers", workers]
+        assert main(args) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCsvSchema:

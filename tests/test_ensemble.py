@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from qmetro.ensemble import (
-    EstimationResult,
-    TrialConfig,
-    _grid_tables,
+    _metrics_from_arrays,
     asymptotic_relative_bound,
-    ensemble_metrics,
+    grid_tables,
     relative_uncertainty,
-    run_trial,
     sample_outcomes,
     sweep,
     sweep_angles,
@@ -45,46 +42,41 @@ class TestSampleOutcomes:
 
 
 class TestRunTrial:
+    """Trials as the sweep runs them: a one-angle cell whose first true angle is
+    the lower end of the domain."""
+
     def test_certain_outcome(self):
-        cfg = TrialConfig(alpha=1.0, noise=NOISELESS, nu=50, true_phi=0.0)
-        result = run_trial(cfg, trial_stream(5, 0))
-        assert result.phi_mp == 0.0
+        row = sweep([1.0], NOISELESS, [50], n_phi=1, n_e=2, seed=5).row(1.0, 50)
+        assert row.phis == (0.0,)
+        assert row.per_phi[0].mu_phi_mp == 0.0 and row.per_phi[0].sigma_phi_mp == 0.0
 
     def test_no_information(self):
-        cfg = TrialConfig(alpha=0.5, noise=NOISELESS, nu=0, true_phi=0.3)
-        result = run_trial(cfg, trial_stream(6, 0))
-        spacing = HALF_PI / (cfg.grid_size - 1)
-        assert abs(result.l_ci - 0.95 * HALF_PI) <= 2 * spacing
+        row = sweep([0.5], NOISELESS, [0], n_phi=1, n_e=2, seed=6, grid_size=1024).row(0.5, 0)
+        spacing = HALF_PI / (1024 - 1)
+        assert row.per_phi[0].sigma_l_ci == 0.0
+        assert abs(row.per_phi[0].mu_l_ci - 0.95 * HALF_PI) <= 2 * spacing
 
     def test_fixed_seed_repeatable(self):
-        cfg = TrialConfig(alpha=0.4, noise=NoiseModel(0.9, 2), nu=8, true_phi=0.7)
-        a = run_trial(cfg, trial_stream(7, 1, 2, 3))
-        b = run_trial(cfg, trial_stream(7, 1, 2, 3))
+        kwargs = dict(n_phi=2, n_e=5, seed=7, grid_size=256)
+        a = sweep([0.4], NoiseModel(0.9, 2), [8], **kwargs)
+        b = sweep([0.4], NoiseModel(0.9, 2), [8], **kwargs)
         assert a == b
-
-    def test_true_phi_outside_domain(self):
-        with pytest.raises(ValueError):
-            TrialConfig(alpha=0.5, noise=NOISELESS, nu=1, true_phi=3.0)
 
 
 class TestEnsembleMetrics:
     def test_identical_results(self):
-        m = ensemble_metrics([EstimationResult(0.4, 0.2)] * 5)
+        m = _metrics_from_arrays(np.full(5, 0.4), np.full(5, 0.2))
         assert m.sigma_phi_mp == 0.0 and m.sigma_l_ci == 0.0
         assert m.mu_phi_mp == 0.4 and m.mu_l_ci == 0.2 and m.n_trials == 5
 
     def test_hand_arithmetic(self):
-        m = ensemble_metrics([EstimationResult(0.1, 0.2), EstimationResult(0.3, 0.4)])
+        m = _metrics_from_arrays(np.array([0.1, 0.3]), np.array([0.2, 0.4]))
         assert m.mu_l_ci == pytest.approx(0.3)
         assert m.sigma_l_ci == pytest.approx(math.sqrt(0.02))
 
     def test_permutation_invariance(self):
-        results = [EstimationResult(0.1, 0.5), EstimationResult(0.2, 0.3), EstimationResult(0.4, 0.1)]
-        assert ensemble_metrics(results) == ensemble_metrics(results[::-1])
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            ensemble_metrics([EstimationResult(0.1, 0.1)])
+        phi_mp, l_ci = np.array([0.1, 0.2, 0.4]), np.array([0.5, 0.3, 0.1])
+        assert _metrics_from_arrays(phi_mp, l_ci) == _metrics_from_arrays(phi_mp[::-1], l_ci[::-1])
 
 
 class TestSweep:
@@ -110,16 +102,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([0.5], NOISELESS, [1], n_phi=1, n_e=1, seed=1)
 
+    @pytest.mark.parametrize(
+        "alphas, nus, name",
+        [([0.0, 0.5, 0.0], [1, 2], "alphas"), ([0.5], [1, 2, 1], "nus")],
+        ids=["alphas", "nus"],
+    )
+    def test_duplicates_rejected(self, alphas, nus, name):
+        with pytest.raises(ValueError, match=f"{name} must be distinct"):
+            sweep(alphas, NOISELESS, nus, n_phi=1, n_e=2, seed=1)
+
     def test_profile_shared_across_trials(self):
-        _grid_tables.cache_clear()
+        grid_tables.cache_clear()
         sweep([0.3], NoiseModel(0.9, 2), [1, 2, 3], n_phi=2, n_e=10, seed=5, grid_size=128)
         # one grid-profile build per (alpha, noise, domain, grid) configuration
-        assert _grid_tables.cache_info().misses == 1
+        assert grid_tables.cache_info().misses == 1
 
     def test_statistical_sanity(self):
-        cfg = TrialConfig(alpha=0.0, noise=NOISELESS, nu=100, true_phi=math.pi / 4)
-        results = [run_trial(cfg, trial_stream(13, 0, 0, 0, t)) for t in range(300)]
-        m = ensemble_metrics(results)
+        row = sweep([0.0], NOISELESS, [100], n_phi=2, n_e=300, seed=13).row(0.0, 100)
+        assert row.phis[1] == math.pi / 4
+        m = row.per_phi[1]
         assert abs(m.mu_phi_mp - math.pi / 4) <= 4 * m.sigma_phi_mp / math.sqrt(m.n_trials)
 
 

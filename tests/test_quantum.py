@@ -8,14 +8,19 @@ import pytest
 from qmetro.quantum import (
     NOISELESS,
     NoiseModel,
-    dephase_two_qubit,
-    dephasing_kraus,
-    evolve_pure,
     measurement_probabilities,
     noisy_rotation,
     probe_state,
     profile_grid,
     pure_to_density,
+)
+
+from oracles import (
+    dephase_two_qubit,
+    dephasing_kraus,
+    evolve_pure,
+    kraus_sequence_oracle,
+    kraus_sum_dephase,
     rotation_unitary,
 )
 
@@ -29,30 +34,6 @@ def random_density(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def kraus_sum_dephase(rho, eta):
-    """Literal 4-term two-qubit Kraus sum, used as the oracle for the masked path."""
-    k0, k1 = dephasing_kraus(eta)
-    out = np.zeros((4, 4), dtype=complex)
-    for kj, kl in itertools.product((k0, k1), repeat=2):
-        op = np.kron(kj, kl)
-        out += op @ rho @ op.conj().T
-    return out
-
-
-def kraus_sequence_oracle(rho, phi, eta, n):
-    """Expand all 4**n dephase-then-rotate Kraus sequences explicitly."""
-    k0, k1 = dephasing_kraus(eta)
-    u = rotation_unitary(phi / n)
-    lams = [u @ np.kron(kj, kl) for kj, kl in itertools.product((k0, k1), repeat=2)]
-    out = np.zeros((4, 4), dtype=complex)
-    for seq in itertools.product(lams, repeat=n):
-        op = np.eye(4, dtype=complex)
-        for lam in seq:
-            op = lam @ op
-        out += op @ rho @ op.conj().T
-    return out
 
 
 class TestProbeState:
@@ -244,11 +225,12 @@ class TestMeasurementProbabilities:
             assert np.all(probs >= 0) and np.all(probs <= 1)
 
     def test_pure_density_path_equivalence(self):
+        # profile_grid's pure-amplitude branch against the shared channel at eta=1
         rng = np.random.default_rng(16)
         phis = rng.uniform(0, np.pi, size=1000)
         alphas = rng.uniform(0, 1, size=1000)
         for alpha, phi in zip(alphas, phis):
-            pure = np.abs(evolve_pure(probe_state(alpha), phi)) ** 2
+            pure = profile_grid(alpha, [phi])[0]
             rho = noisy_rotation(pure_to_density(probe_state(alpha)), phi, NoiseModel(1.0, 1))
             assert np.allclose(pure, np.diag(rho).real, atol=1e-12)
 
@@ -256,6 +238,13 @@ class TestMeasurementProbabilities:
         nodes = np.linspace(0, np.pi, 50)
         noise = NoiseModel(0.8, 3)
         grid = profile_grid(0.3, nodes, noise)
+        rho = pure_to_density(probe_state(0.3))
         for idx in (0, 17, 49):
-            assert np.allclose(grid[idx], measurement_probabilities(0.3, nodes[idx], noise))
+            oracle = np.diag(kraus_sequence_oracle(rho, nodes[idx], 0.8, 3)).real
+            assert np.allclose(grid[idx], oracle, atol=1e-12)
         assert NOISELESS.eta == 1.0
+
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.8, 3)], ids=["pure", "noisy"])
+    def test_non_finite_angle_rejected(self, noise):
+        with pytest.raises(ValueError, match="finite"):
+            profile_grid(0.3, [0.1, np.nan], noise)
