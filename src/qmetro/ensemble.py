@@ -1,8 +1,17 @@
 """Monte Carlo ensembles: seeded outcome sampling, per-record estimates, and sweeps.
 
-Every trial draws from its own random stream, derived from the master seed
-and the (alpha index, nu index, angle index, trial index) cell coordinates,
-so results are bit-identical regardless of execution order or worker count.
+Seed contract: each (alpha, nu) sweep cell draws from one random stream,
+derived from the master seed, the bit pattern of the alpha value and the
+value of nu. The cell takes its angles in ascending order and draws all n_e
+count records of an angle in one batched multinomial. A cell's row
+therefore depends only on the seed, its own alpha and nu, and the settings
+every cell shares (noise, angles, n_e, grid, y, tau): it is bit-identical
+regardless of execution order, worker count, or which other alphas and nus
+share the sweep.
+
+An estimate depends only on the count record, not on the true angle or the
+trial, so each cell solves the posterior once per distinct record among all
+of its draws.
 """
 
 from __future__ import annotations
@@ -63,16 +72,24 @@ class SweepResult:
 
 
 def trial_stream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent random stream for given cell coordinates under a master seed."""
+    """Independent random stream for given nonnegative integer keys under a master seed."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
 
 
-def sample_outcomes(profile: np.ndarray, nu: int, stream: np.random.Generator) -> np.ndarray:
-    """Multinomial draw of nu measurement outcomes weighted by the profile."""
+def _alpha_key(alpha: float) -> int:
+    """Stream key of an alpha value: its float64 bit pattern, with -0.0 folded into 0.0."""
+    return int(np.float64(alpha + 0.0).view(np.uint64))
+
+
+def sample_outcomes(
+    profile: np.ndarray, nu: int, n_draws: int, stream: np.random.Generator
+) -> np.ndarray:
+    """n_draws independent count records of nu outcomes each, weighted by the
+    profile; shape (n_draws, 4)."""
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     p = np.clip(np.asarray(profile, dtype=float), 0.0, None)
-    return stream.multinomial(nu, p / p.sum())
+    return stream.multinomial(nu, p / p.sum(), size=n_draws)
 
 
 @lru_cache(maxsize=64)
@@ -120,21 +137,33 @@ def sweep_angles(domain: tuple[float, float], n_phi: int) -> np.ndarray:
     return np.linspace(domain[0], domain[1], n_phi, endpoint=False)
 
 
+def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (n, 4) count array, in lexicographic order, and the
+    index of each row among them. A record of nu outcomes is fixed by its first
+    three counts, so only those are compared; a lexsort needs no bound on nu,
+    unlike a packed integer key, and is ~7x faster than np.unique(axis=0)."""
+    order = np.lexsort(counts[:, 2::-1].T)
+    ranked = counts[order]
+    new = np.ones(len(counts), dtype=bool)
+    new[1:] = (ranked[1:, :3] != ranked[:-1, :3]).any(axis=1)
+    inverse = np.empty(len(counts), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 def _run_cell(args) -> SweepRow:
-    (alpha, a_idx, noise, nu, nu_idx, phis, n_e, seed, domain, grid_size, y, tau) = args
+    (alpha, noise, nu, phis, n_e, seed, domain, grid_size, y, tau) = args
     nodes, log_profiles = grid_tables(alpha, noise, domain, grid_size)
-    per_phi = []
-    for p_idx, phi in enumerate(phis):
-        profile = measurement_probabilities(alpha, phi, noise)
-        counts = np.empty((n_e, 4), dtype=np.int64)
-        for t in range(n_e):
-            counts[t] = sample_outcomes(profile, nu, trial_stream(seed, a_idx, nu_idx, p_idx, t))
-        # identical count records yield identical estimates; solve each once
-        unique, inverse = np.unique(counts, axis=0, return_inverse=True)
-        estimates = [_estimate_from_counts(nodes, log_profiles, c, y, tau) for c in unique]
-        phi_mp = np.array([estimates[k][0] for k in inverse])
-        l_ci = np.array([estimates[k][1] for k in inverse])
-        per_phi.append(_metrics_from_arrays(phi_mp, l_ci))
+    stream = trial_stream(seed, _alpha_key(alpha), nu)
+    counts = np.stack(
+        [sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, n_e, stream) for phi in phis]
+    )
+    # identical count records yield identical estimates, at any angle: solve
+    # each distinct record of the cell once
+    records, inverse = _distinct_records(counts.reshape(-1, 4))
+    estimates = np.array([_estimate_from_counts(nodes, log_profiles, c, y, tau) for c in records])
+    phi_mp, l_ci = estimates[inverse].T.reshape(2, len(phis), n_e)
+    per_phi = [_metrics_from_arrays(phi_mp[i], l_ci[i]) for i in range(len(phis))]
     return SweepRow(
         alpha=alpha,
         eta=noise.eta,
@@ -169,11 +198,14 @@ def sweep(
     for name, values in (("alphas", alphas), ("nus", nus)):
         if len(set(values)) < len(values):
             raise ValueError(f"{name} must be distinct, got {list(values)}")
+    for nu in nus:
+        if nu < 0:
+            raise ValueError(f"nus must be nonnegative, got {nu}")
     phis = sweep_angles(domain, n_phi)
     tasks = [
-        (alpha, a_idx, noise, int(nu), nu_idx, phis, n_e, seed, domain, grid_size, y, tau)
-        for a_idx, alpha in enumerate(alphas)
-        for nu_idx, nu in enumerate(nus)
+        (alpha, noise, int(nu), phis, n_e, seed, domain, grid_size, y, tau)
+        for alpha in alphas
+        for nu in nus
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

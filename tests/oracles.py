@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from qmetro.bayes import _as_counts
-from qmetro.quantum import _dephase_mask
+from qmetro.bayes import _as_counts, min_confidence_interval, posterior_from_log_profiles
+from qmetro.ensemble import grid_tables
+from qmetro.quantum import _dephase_mask, measurement_probabilities
 
 
 def single_qubit_rotation(phi):
@@ -93,3 +94,39 @@ def likelihood(profile_at, counts, phi):
         if ki > 0:
             value *= pi ** int(ki)
     return value
+
+
+def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
+    """Exact expectation of a sweep row's mean_mu_l_ci, and n_e times its variance.
+
+    Enumerates every count record of nu outcomes, weights it by its
+    multinomial probability at each true angle under the clipped,
+    renormalised profile the sweep samples from, and scores it with the
+    program's posterior and shortest-interval search.
+    """
+
+    def sampled_profile(phi):
+        p = np.clip(measurement_probabilities(alpha, phi, noise), 0.0, None)
+        return p / p.sum()
+
+    nodes, log_profiles = grid_tables(alpha, noise, domain, grid_size)
+    records = [
+        (a, b, c, nu - a - b - c)
+        for a in range(nu + 1)
+        for b in range(nu + 1 - a)
+        for c in range(nu + 1 - a - b)
+    ]
+    weights = [[likelihood(sampled_profile, r, phi) for r in records] for phi in phis]
+    # an impossible record has no posterior, and weight 0 at every angle
+    lengths = [
+        min_confidence_interval(posterior_from_log_profiles(nodes, log_profiles, r), y, tau).length
+        if any(w[i] > 0.0 for w in weights)
+        else 0.0
+        for i, r in enumerate(records)
+    ]
+    mean = var = 0.0
+    for w in weights:
+        e = sum(wi * li for wi, li in zip(w, lengths))
+        mean += e / len(phis)
+        var += sum(wi * (li - e) ** 2 for wi, li in zip(w, lengths)) / len(phis) ** 2
+    return mean, var

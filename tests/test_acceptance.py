@@ -1,23 +1,34 @@
 """End-to-end acceptance checks, one test per criterion, each printing a
 pass/fail line. Heavy sweeps are shared via module-scoped fixtures; the whole
-module runs in a few minutes. Run with `pytest tests/test_acceptance.py -v -s`."""
+module runs in a few seconds. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qmetro.bayes import min_confidence_interval, posterior_from_log_profiles
+from qmetro.bayes import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_TAU,
+    DEFAULT_Y,
+    min_confidence_interval,
+    posterior_from_log_profiles,
+)
 from qmetro.cli import main
-from qmetro.ensemble import grid_tables, relative_uncertainty, sweep
+from qmetro.ensemble import DEFAULT_DOMAIN, grid_tables, relative_uncertainty, sweep
 from qmetro.quantum import NOISELESS, NoiseModel, noisy_rotation, probe_state, pure_to_density
 
-from oracles import dephasing_kraus, evolve_pure, rotation_unitary
+from oracles import dephasing_kraus, evolve_pure, exact_mean_l_ci, rotation_unitary
 
 SEED = 42
 ALL_ALPHAS = (0.0, 1 / 6, 1 / 3, 0.5)
+# chance that a correct sweep fails the exact-expectation check, over all its rows
+FAMILY_WISE_LEVEL = 1e-3
+# a mean of identical estimates may still differ from the exact value in the last bits
+EXACT_RTOL = 1e-9
 
 
 def mean_l_ci_sem(row):
@@ -215,6 +226,28 @@ def test_uncertainty_decreases_with_measurements(noiseless_rel):
         for r_lo, r_hi in itertools.pairwise(rows):
             slack = math.hypot(mean_l_ci_sem(r_lo), mean_l_ci_sem(r_hi))
             assert r_hi.mean_mu_l_ci < r_lo.mean_mu_l_ci + slack
+
+
+def test_noiseless_rows_match_exact_expectation(noiseless_rel):
+    # supporting invariant: every mean row lies within k standard errors of
+    # its exact expectation over all count records, k Bonferroni-corrected
+    rows = noiseless_rel.rows
+    k = NormalDist().inv_cdf(1 - FAMILY_WISE_LEVEL / (2 * len(rows)))
+    worst = 0.0
+    failures = []
+    for row in rows:
+        noise = NoiseModel(row.eta, row.n_steps)
+        mean, var_per_trial = exact_mean_l_ci(
+            row.alpha, noise, row.nu, row.phis, DEFAULT_DOMAIN, DEFAULT_GRID_SIZE, DEFAULT_Y, DEFAULT_TAU
+        )
+        sem = math.sqrt(var_per_trial / row.per_phi[0].n_trials)
+        deviation = abs(row.mean_mu_l_ci - mean)
+        if deviation > k * sem + EXACT_RTOL * mean:
+            failures.append(f"alpha={row.alpha:.4g} nu={row.nu}: {row.mean_mu_l_ci:.6f} vs exact {mean:.6f}")
+        elif sem > EXACT_RTOL * mean:  # rows of one repeated estimate have no z
+            worst = max(worst, deviation / sem)
+    print(f"{len(rows)} mean rows within {k:.2f} SEM of exact expectation; largest |z| {worst:.2f}")
+    assert not failures, "; ".join(failures)
 
 
 def test_criterion_9_determinism_across_workers(tmp_path):

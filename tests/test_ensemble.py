@@ -22,23 +22,28 @@ HALF_PI = math.pi / 2
 
 class TestSampleOutcomes:
     def test_deterministic_profile(self):
-        counts = sample_outcomes(np.array([0, 1, 0, 0]), 7, trial_stream(1, 0))
-        assert list(counts) == [0, 7, 0, 0]
+        counts = sample_outcomes(np.array([0, 1, 0, 0]), 7, 5, trial_stream(1, 0))
+        assert counts.tolist() == [[0, 7, 0, 0]] * 5
 
     def test_zero_measurements(self):
-        counts = sample_outcomes(np.array([0.25] * 4), 0, trial_stream(1, 0))
-        assert list(counts) == [0, 0, 0, 0]
+        counts = sample_outcomes(np.array([0.25] * 4), 0, 3, trial_stream(1, 0))
+        assert counts.tolist() == [[0, 0, 0, 0]] * 3
 
     def test_binomial_moments(self):
         nu = 100_000
-        counts = sample_outcomes(np.array([0.25] * 4), nu, trial_stream(2, 0))
+        counts = sample_outcomes(np.array([0.25] * 4), nu, 3, trial_stream(2, 0))
         sigma = math.sqrt(nu * 0.25 * 0.75)
-        assert counts.sum() == nu
+        assert np.all(counts.sum(axis=1) == nu)
         assert np.all(np.abs(counts - nu * 0.25) < 5 * sigma)
 
     def test_negative_profile_entries_clamped(self):
-        counts = sample_outcomes(np.array([-1e-13, 0.5, 0.5, 0.0]), 10, trial_stream(3, 0))
-        assert counts.sum() == 10 and counts[0] == 0
+        counts = sample_outcomes(np.array([-1e-13, 0.5, 0.5, 0.0]), 10, 20, trial_stream(3, 0))
+        assert np.all(counts.sum(axis=1) == 10) and np.all(counts[:, 0] == 0)
+
+    def test_one_record_per_row(self):
+        counts = sample_outcomes(np.array([0.1, 0.2, 0.3, 0.4]), 9, 50, trial_stream(4, 0))
+        assert counts.shape == (50, 4) and np.issubdtype(counts.dtype, np.integer)
+        assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == 9)
 
 
 class TestRunTrial:
@@ -96,11 +101,25 @@ class TestSweep:
         parallel = sweep([0.0, 0.5], NOISELESS, workers=2, **kwargs)
         assert serial == parallel
 
+    def test_cell_independent_of_sweep_layout(self):
+        # a cell's stream is keyed on its (alpha, nu) values, not on their
+        # positions in the sweep or on which worker runs it
+        kwargs = dict(n_phi=3, n_e=8, seed=99, grid_size=256)
+        alone = sweep([0.5], NOISELESS, [2], **kwargs).row(0.5, 2)
+        for workers in (1, 2):
+            reversed_sweep = sweep([0.5, 1 / 3, 0.0], NOISELESS, [3, 2, 1], workers=workers, **kwargs)
+            assert reversed_sweep.row(0.5, 2) == alone
+        assert sweep([-0.0], NOISELESS, [2], **kwargs) == sweep([0.0], NOISELESS, [2], **kwargs)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sweep([0.5], NOISELESS, [1], n_phi=0, n_e=10, seed=1)
         with pytest.raises(ValueError):
             sweep([0.5], NOISELESS, [1], n_phi=1, n_e=1, seed=1)
+
+    def test_negative_nu_rejected(self):
+        with pytest.raises(ValueError, match="got -1"):
+            sweep([0.5], NOISELESS, [-1], n_phi=1, n_e=2, seed=1)
 
     @pytest.mark.parametrize(
         "alphas, nus, name",
