@@ -96,6 +96,75 @@ def likelihood(profile_at, counts, phi):
     return value
 
 
+def interval_probability(grid, a, b):
+    """Posterior mass of [a, b] for a single-record grid: the exact integral of
+    the piecewise-linear density, summed cell by cell over the overlap."""
+    if a > b:
+        raise ValueError(f"interval endpoints out of order: a={a} > b={b}")
+    x, d = grid.nodes, grid.density
+    mass = 0.0
+    for k in range(len(x) - 1):
+        u, v = max(a, x[k]), min(b, x[k + 1])
+        if u < v:
+            slope = (d[k + 1] - d[k]) / (x[k + 1] - x[k])
+            mass += 0.5 * (2 * d[k] + slope * (u - x[k] + v - x[k])) * (v - u)
+    return float(mass)
+
+
+def posterior_loop(nodes, log_profiles, counts):
+    """One record's normalised density and cumulative table: log likelihood over
+    the nonzero counts, trapezoid segments, running sum."""
+    k = np.asarray(counts)
+    sel = k > 0
+    log_post = log_profiles[:, sel] @ k[sel].astype(float) if sel.any() else np.zeros(len(nodes))
+    density = np.exp(log_post - np.max(log_post))
+    segment_mass = 0.5 * (density[1:] + density[:-1]) * np.diff(nodes)
+    cumulative = np.concatenate(([0.0], np.cumsum(segment_mass)))
+    return density / cumulative[-1], cumulative / cumulative[-1]
+
+
+def min_confidence_interval_loop(nodes, density, cumulative, y, tau, max_refine=100):
+    """One record's shortest interval (a, b, mass): every node-aligned start
+    searched, then the lower-density endpoint bisected one scalar step at a time."""
+
+    def cumulative_at(x):
+        if x <= nodes[0]:
+            return 0.0
+        if x >= nodes[-1]:
+            return float(cumulative[-1])
+        c = int(np.searchsorted(nodes, x, side="right")) - 1
+        t = x - nodes[c]
+        d_at_x = density[c] + (density[c + 1] - density[c]) * t / (nodes[c + 1] - nodes[c])
+        return float(cumulative[c] + 0.5 * (density[c] + d_at_x) * t)
+
+    n = len(nodes)
+    right = np.searchsorted(cumulative, cumulative + y, side="left")
+    lengths = np.where(right < n, nodes[np.minimum(right, n - 1)] - nodes, np.inf)
+    i = int(np.argmin(lengths))
+    j = int(right[i])
+    best = (float(nodes[i]), float(nodes[j]), float(cumulative[j] - cumulative[i]))
+    if abs(best[2] - y) <= tau:
+        return best
+    a, b = best[:2]
+    move_left = density[i] <= density[j] and j > i + 1
+    lo, hi = (float(nodes[i]), float(nodes[i + 1])) if move_left else (float(nodes[j - 1]), b)
+    for _ in range(max_refine):
+        mid = 0.5 * (lo + hi)
+        if move_left:
+            candidate = (mid, b, cumulative_at(b) - cumulative_at(mid))
+        else:
+            candidate = (a, mid, cumulative_at(mid) - cumulative_at(a))
+        if abs(candidate[2] - y) <= tau:
+            return candidate
+        if abs(candidate[2] - y) < abs(best[2] - y):
+            best = candidate
+        if (candidate[2] > y) == move_left:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"no convergence in {max_refine} bisections, best {best}")
+
+
 def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
     """Exact expectation of a sweep row's mean_mu_l_ci, and n_e times its variance.
 

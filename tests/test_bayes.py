@@ -1,21 +1,30 @@
 """Posterior construction, most-probable value, and confidence-interval search."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from qmetro.bayes import (
     DEFAULT_GRID_SIZE,
+    ConfidenceInterval,
+    ConvergenceError,
     DegenerateEvidenceError,
-    interval_probability,
     min_confidence_interval,
     most_probable,
     posterior_from_log_profiles,
 )
 from qmetro.ensemble import grid_tables
-from qmetro.quantum import NOISELESS, measurement_probabilities
+from qmetro.quantum import NOISELESS, NoiseModel, measurement_probabilities
 
-from oracles import likelihood
+from oracles import (
+    interval_probability,
+    likelihood,
+    min_confidence_interval_loop,
+    posterior_loop,
+)
 
 HALF_PI = np.pi / 2
 
@@ -198,3 +207,129 @@ class TestMinConfidenceInterval:
         diffs = np.array(diffs)
         sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
         assert diffs.mean() <= 3 * sem
+
+
+def sampled_records(alpha, noise, nus, per_nu, seed):
+    """Count records drawn from the probe's own outcome distribution at random angles."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for nu in nus:
+        for phi in rng.uniform(0.0, HALF_PI, per_nu):
+            p = np.clip(measurement_probabilities(alpha, phi, noise), 0.0, None)
+            records.append(rng.multinomial(nu, p / p.sum()))
+    return np.array(records)
+
+
+def solve(nodes, log_profiles, counts):
+    grid = posterior_from_log_profiles(nodes, log_profiles, counts)
+    ci = min_confidence_interval(grid)
+    return most_probable(grid), ci
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# the sweep's block: 32 rows of a 1024-node grid
+BLOCK = 32768 // DEFAULT_GRID_SIZE
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "alpha, noise",
+        [(0.0, NOISELESS), (0.5, NOISELESS), (1 / 3, NoiseModel(0.9, 5))],
+        ids=["separable", "bell", "eta-0.9"],
+    )
+    def test_rows_match_single_records(self, alpha, noise):
+        nodes, log_profiles = grid_tables(alpha, noise, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
+        records = np.concatenate(
+            (
+                [[0, 0, 0, 0]],
+                # zero counts sit against the -inf log profiles at phi = 0
+                [[0, 0, 7, 0] if alpha == 0.0 else [0, 4, 3, 0]],
+                sampled_records(alpha, noise, (1, 3, 10, 300, 3000), 7, seed=5),
+            )
+        )
+        assert len(records) > BLOCK + 1
+        single = [solve(nodes, log_profiles, r) for r in records]
+        for record, (mp, ci) in zip(records, single):
+            # a lone record matches the step-by-step reference bit for bit
+            density, cumulative = posterior_loop(nodes, log_profiles, record)
+            grid = posterior_from_log_profiles(nodes, log_profiles, record)
+            assert bits(grid.density) == bits(density)
+            assert bits(grid.cumulative) == bits(cumulative)
+            assert bits(mp) == bits(nodes[np.argmax(density)])
+            assert bits((ci.a, ci.b, ci.mass)) == bits(
+                min_confidence_interval_loop(nodes, density, cumulative, 0.95, 1e-3)
+            )
+        for size in (1, BLOCK - 1, BLOCK, BLOCK + 1):
+            for start in range(0, len(records), size):
+                mp, ci = solve(nodes, log_profiles, records[start : start + size])
+                assert isinstance(mp, np.ndarray) and mp.shape == (len(records[start : start + size]),)
+                for r, (mp_r, ci_r) in enumerate(single[start : start + size]):
+                    assert bits(mp[r]) == bits(mp_r)
+                    assert bits(ci.length[r]) == bits(ci_r.length)
+                    assert bits(ci.mass[r]) == bits(ci_r.mass)
+        # the records cover a node-aligned hit and a bisection of either endpoint
+        ends = {(ci.a in nodes, ci.b in nodes) for _, ci in single}
+        assert ends == {(True, True), (False, True), (True, False)}
+
+    def test_single_record_returns_floats(self):
+        grid = posterior(0.4, [3, 1, 2, 4])
+        ci = min_confidence_interval(grid)
+        assert grid.density.shape == grid.cumulative.shape == (DEFAULT_GRID_SIZE,)
+        assert type(most_probable(grid)) is float
+        assert all(type(v) is float for v in (ci.a, ci.b, ci.mass))
+
+    def test_block_shapes(self):
+        grid = posterior(0.4, [[3, 1, 2, 4], [0, 0, 0, 0], [1, 1, 1, 1]])
+        assert grid.density.shape == grid.cumulative.shape == (3, DEFAULT_GRID_SIZE)
+        assert most_probable(grid).shape == min_confidence_interval(grid).length.shape == (3,)
+
+    @pytest.mark.parametrize("counts", [[[1, 2, 3]], np.zeros((0, 4), dtype=int), [[1, 2, 3, -1]]])
+    def test_bad_block_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be"):
+            posterior(0.4, counts)
+
+    def test_impossible_record_named(self):
+        dead = lambda phi: np.array([0.0, 1.0, 0.0, 0.0])
+        block = [[0, 3, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0]]
+        with pytest.raises(DegenerateEvidenceError, match=r"counts \[2, 0, 0, 0\]$"):
+            custom_posterior(dead, block)
+        custom_posterior(dead, [block[0], block[1], block[3]])
+
+    def test_unconverged_row_named(self):
+        grid = posterior(0.5, [[0, 0, 0, 0], [300, 40, 50, 310]])
+        alone = posterior(0.5, [300, 40, 50, 310])
+        # the record needs bisection, so it cannot converge without a refinement step
+        assert min_confidence_interval(alone).a not in alone.nodes
+        with pytest.raises(ConvergenceError, match="row 1 of the block") as err:
+            min_confidence_interval(grid, max_refine=0)
+        with pytest.raises(ConvergenceError) as err_alone:
+            min_confidence_interval(alone, max_refine=0)
+        assert err.value.best == err_alone.value.best
+        assert "row" not in str(err_alone.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        eta=st.sampled_from([1.0, 0.9]),
+        nus=st.lists(st.integers(0, 400), min_size=1, max_size=2 * BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_properties(self, alpha, eta, nus, seed):
+        noise = NoiseModel(eta, 5)
+        nodes, log_profiles = grid_tables(alpha, noise, (0.0, HALF_PI), 257)
+        records = sampled_records(alpha, noise, nus, 1, seed)
+        grid = posterior_from_log_profiles(nodes, log_profiles, records)
+        assert np.allclose(np.trapezoid(grid.density, nodes, axis=1), 1.0, rtol=0.0, atol=1e-9)
+        ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
+        assert np.all(np.abs(ci.mass - 0.95) <= 1e-3)
+
+
+def test_convergence_error_pickles():
+    err = ConvergenceError("no luck", ConfidenceInterval(0.1, 0.4, 0.93))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ConvergenceError
+    assert str(back) == "no luck"
+    assert back.best == err.best
