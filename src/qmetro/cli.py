@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import bayes, ensemble, quantum, report, svgplot
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import MAX_SEED, ConfigError, ExperimentConfig, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,6 +88,8 @@ def cmd_posterior(ns: argparse.Namespace) -> int:
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _load_config(ns.config)
     if ns.seed is not None:
+        if not 0 <= ns.seed <= MAX_SEED:
+            raise ConfigError(f"--seed: value {ns.seed} outside range [0, {MAX_SEED}]")
         cfg.seed = ns.seed
     if ns.output is not None:
         cfg.output_path = ns.output
@@ -105,50 +107,34 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         tau=cfg.tau,
         workers=ns.workers,
     )
-    baseline = 0.0
+    baseline = ensemble.BASELINE_ALPHA
     if baseline in cfg.alphas:
-        result = ensemble.relative_uncertainty(result, baseline)
+        result = ensemble.relative_uncertainty(result)
 
     out = Path(cfg.output_path)
     out.write_text(report.render_csv(report.rows_from_sweep(result)), encoding="utf-8")
 
     if ns.plot:
-        nus = list(cfg.nus)
-        absolute = [
-            (
-                f"alpha={report.format_number(a)}",
-                nus,
-                [result.row(a, nu).mean_mu_l_ci for nu in nus],
-            )
-            for a in cfg.alphas
+        eta = report.format_number(cfg.eta)
+        # (file suffix, SweepRow field, probes, title, y label, reference lines)
+        plots = [
+            ("absolute", "mean_mu_l_ci", cfg.alphas,
+             f"Uncertainty vs measurements (eta={eta})", "mean uncertainty (rad)", ()),
         ]
-        svg = svgplot.line_plot(
-            absolute,
-            title=f"Uncertainty vs measurements (eta={report.format_number(cfg.eta)})",
-            xlabel="nu",
-            ylabel="mean uncertainty (rad)",
-        )
-        out.with_suffix("").with_name(out.stem + "_absolute.svg").write_text(svg, encoding="utf-8")
         if baseline in cfg.alphas:
-            relative = [
-                (
-                    f"alpha={report.format_number(a)}",
-                    nus,
-                    [result.row(a, nu).baseline_ratio for nu in nus],
-                )
-                for a in cfg.alphas
-                if a != baseline
+            plots.append(
+                ("relative", "baseline_ratio", [a for a in cfg.alphas if a != baseline],
+                 f"Relative uncertainty (eta={eta})", "relative uncertainty",
+                 [("1/sqrt(2)", ensemble.asymptotic_relative_bound(2))])
+            )
+        nus = list(cfg.nus)
+        for suffix, field, alphas, title, ylabel, hlines in plots:
+            series = [
+                (f"alpha={report.format_number(a)}", nus, [getattr(result[a, nu], field) for nu in nus])
+                for a in alphas
             ]
-            svg = svgplot.line_plot(
-                relative,
-                title=f"Relative uncertainty (eta={report.format_number(cfg.eta)})",
-                xlabel="nu",
-                ylabel="relative uncertainty",
-                hlines=[("1/sqrt(2)", ensemble.asymptotic_relative_bound(2))],
-            )
-            out.with_suffix("").with_name(out.stem + "_relative.svg").write_text(
-                svg, encoding="utf-8"
-            )
+            svg = svgplot.line_plot(series, title=title, xlabel="nu", ylabel=ylabel, hlines=hlines)
+            out.with_name(f"{out.stem}_{suffix}.svg").write_text(svg, encoding="utf-8")
     return EXIT_OK
 
 
@@ -158,12 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian two-qubit rotation estimation: probabilities, posteriors, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = ExperimentConfig()
 
     p = sub.add_parser("probs", help="print outcome probabilities for one probe and angle")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--n-steps", type=int, default=5)
+    p.add_argument("--eta", type=float, default=defaults.eta)
+    p.add_argument("--n-steps", type=int, default=defaults.n_steps)
     p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("posterior", help="emit one posterior as CSV (and optional SVG)")

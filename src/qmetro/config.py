@@ -15,6 +15,7 @@ class ConfigError(ValueError):
 
 DEFAULT_ALPHAS = (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5)
 DEFAULT_NUS = tuple(range(1, 11))
+MAX_SEED = 2**64 - 1
 
 
 @dataclass
@@ -125,7 +126,7 @@ def parse_config(source: str) -> ExperimentConfig:
                 _fail(key, line_no, f"requires lo < hi, got {lo} >= {hi}")
             cfg.domain = (lo, hi)
         elif key == "seed":
-            cfg.seed = _parse_int(key, line_no, raw, 0, 2**64 - 1)
+            cfg.seed = _parse_int(key, line_no, raw, 0, MAX_SEED)
         elif key == "output":
             if not raw:
                 _fail(key, line_no, "empty path")

@@ -14,6 +14,11 @@ trial, so each cell solves the posterior once per distinct record among all
 of its draws. The distinct records are solved in blocks of rows, one
 posterior, most-probable and shortest-interval call per block; each record's
 estimate is bit-identical to that record solved alone.
+
+A sweep returns one SweepRow per cell, keyed by (alpha, nu) in sweep order.
+Its per-angle columns hold each true angle's mean and standard deviation of
+the most probable value and of the shortest-interval length over the n_e
+trials; mean_mu_l_ci averages the interval column over the angles.
 """
 
 from __future__ import annotations
@@ -37,40 +42,26 @@ from .bayes import (
 from .quantum import NoiseModel, measurement_probabilities, profile_grid
 
 DEFAULT_DOMAIN = (0.0, math.pi / 2)
-
-
-@dataclass(frozen=True)
-class EnsembleMetrics:
-    mu_phi_mp: float
-    sigma_phi_mp: float
-    mu_l_ci: float
-    sigma_l_ci: float
-    n_trials: int
+# the separable probe, which relative uncertainties are measured against
+BASELINE_ALPHA = 0.0
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregated results for one (alpha, nu) cell across all true angles."""
+    """One (alpha, nu) cell. The per-angle columns hold, for each true angle in
+    phis, the mean and sample standard deviation over its n_e trials."""
 
     alpha: float
     eta: float
     n_steps: int
     nu: int
     phis: tuple[float, ...]
-    per_phi: tuple[EnsembleMetrics, ...]
+    mu_phi_mp: tuple[float, ...]
+    sigma_phi_mp: tuple[float, ...]
+    mu_l_ci: tuple[float, ...]
+    sigma_l_ci: tuple[float, ...]
     mean_mu_l_ci: float
     baseline_ratio: float | None = None
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-    def row(self, alpha: float, nu: int) -> SweepRow:
-        for r in self.rows:
-            if r.alpha == alpha and r.nu == nu:
-                return r
-        raise KeyError(f"no sweep row for alpha={alpha}, nu={nu}")
 
 
 def trial_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -123,14 +114,10 @@ def _estimate_from_counts(nodes, log_profiles, counts, y, tau) -> tuple[np.ndarr
     return most_probable(grid), min_confidence_interval(grid, y, tau).length
 
 
-def _metrics_from_arrays(phi_mp: np.ndarray, l_ci: np.ndarray) -> EnsembleMetrics:
-    return EnsembleMetrics(
-        mu_phi_mp=float(np.mean(phi_mp)),
-        sigma_phi_mp=float(np.std(phi_mp, ddof=1)),
-        mu_l_ci=float(np.mean(l_ci)),
-        sigma_l_ci=float(np.std(l_ci, ddof=1)),
-        n_trials=len(phi_mp),
-    )
+def _angle_columns(values: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Mean and sample standard deviation of each row of an (n_phi, n_e) array
+    of one estimate: one row per true angle, one column per trial."""
+    return tuple(values.mean(axis=1).tolist()), tuple(values.std(axis=1, ddof=1).tolist())
 
 
 def sweep_angles(domain: tuple[float, float], n_phi: int) -> np.ndarray:
@@ -170,15 +157,13 @@ def _run_cell(args) -> SweepRow:
         rows = slice(start, start + block)
         estimates[:, rows] = _estimate_from_counts(nodes, log_profiles, records[rows], y, tau)
     phi_mp, l_ci = estimates[:, inverse].reshape(2, len(phis), n_e)
-    per_phi = [_metrics_from_arrays(phi_mp[i], l_ci[i]) for i in range(len(phis))]
+    # reduce each 2-D array on its own: a reduction over the stacked 3-D
+    # array sums in another order and changes the last bits
+    mu_phi_mp, sigma_phi_mp = _angle_columns(phi_mp)
+    mu_l_ci, sigma_l_ci = _angle_columns(l_ci)
     return SweepRow(
-        alpha=alpha,
-        eta=noise.eta,
-        n_steps=noise.n_steps,
-        nu=nu,
-        phis=tuple(float(p) for p in phis),
-        per_phi=tuple(per_phi),
-        mean_mu_l_ci=float(np.mean([m.mu_l_ci for m in per_phi])),
+        alpha, noise.eta, noise.n_steps, nu, tuple(phis.tolist()),
+        mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci, float(np.mean(mu_l_ci)),
     )
 
 
@@ -194,8 +179,9 @@ def sweep(
     y: float = DEFAULT_Y,
     tau: float = DEFAULT_TAU,
     workers: int = 1,
-) -> SweepResult:
-    """Run n_e trials at each of n_phi true angles for every (alpha, nu) cell."""
+) -> dict[tuple[float, int], SweepRow]:
+    """Run n_e trials at each of n_phi true angles for every (alpha, nu) cell;
+    the rows keyed by (alpha, nu), in sweep order."""
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
     if n_e < 2:
@@ -219,20 +205,18 @@ def sweep(
             rows = list(pool.map(_run_cell, tasks))
     else:
         rows = [_run_cell(t) for t in tasks]
-    return SweepResult(rows=tuple(rows))
+    return {(row.alpha, row.nu): row for row in rows}
 
 
-def relative_uncertainty(result: SweepResult, baseline_alpha: float = 0.0) -> SweepResult:
-    """Attach per-row ratios against the baseline probe at the same nu."""
-    baseline = {r.nu: r.mean_mu_l_ci for r in result.rows if r.alpha == baseline_alpha}
-    if not baseline:
-        raise ValueError(f"baseline alpha {baseline_alpha} not present in sweep")
-    rows = []
-    for r in result.rows:
-        if r.nu not in baseline:
-            raise ValueError(f"baseline alpha {baseline_alpha} missing nu={r.nu}")
-        rows.append(replace(r, baseline_ratio=r.mean_mu_l_ci / baseline[r.nu]))
-    return SweepResult(rows=tuple(rows))
+def relative_uncertainty(rows: dict[tuple[float, int], SweepRow]) -> dict[tuple[float, int], SweepRow]:
+    """The rows with their ratios against the baseline probe at the same nu."""
+    ratios = {}
+    for key, row in rows.items():
+        base = rows.get((BASELINE_ALPHA, row.nu))
+        if base is None:
+            raise ValueError(f"baseline alpha {BASELINE_ALPHA} missing nu={row.nu}")
+        ratios[key] = replace(row, baseline_ratio=row.mean_mu_l_ci / base.mean_mu_l_ci)
+    return ratios
 
 
 def asymptotic_relative_bound(n_qubits: int) -> float:

@@ -6,11 +6,9 @@ Numbers carry 12 significant digits so files round-trip exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .ensemble import SweepResult
-
-CSV_HEADER = "alpha,eta,n_steps,nu,phi_true,mu_phi_mp,sigma_phi_mp,mu_l_ci,sigma_l_ci,baseline_ratio"
+from .ensemble import SweepRow
 
 MEAN_TOKEN = "mean"
 
@@ -19,8 +17,9 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One CSV row, its fields in column order."""
+
     alpha: float
     eta: float
     n_steps: int
@@ -30,66 +29,56 @@ class ResultRow:
     sigma_phi_mp: float | None
     mu_l_ci: float
     sigma_l_ci: float | None
-    baseline_ratio: float | None = None
+    baseline_ratio: float | None
 
 
-def rows_from_sweep(result: SweepResult) -> list[ResultRow]:
+CSV_HEADER = ",".join(ResultRow._fields)
+
+
+def rows_from_sweep(result: dict[tuple[float, int], SweepRow]) -> list[ResultRow]:
     rows: list[ResultRow] = []
-    for cell in result.rows:
-        for phi, m in zip(cell.phis, cell.per_phi):
-            rows.append(
-                ResultRow(
-                    alpha=cell.alpha,
-                    eta=cell.eta,
-                    n_steps=cell.n_steps,
-                    nu=cell.nu,
-                    phi_true=phi,
-                    mu_phi_mp=m.mu_phi_mp,
-                    sigma_phi_mp=m.sigma_phi_mp,
-                    mu_l_ci=m.mu_l_ci,
-                    sigma_l_ci=m.sigma_l_ci,
-                )
-            )
-        rows.append(
-            ResultRow(
-                alpha=cell.alpha,
-                eta=cell.eta,
-                n_steps=cell.n_steps,
-                nu=cell.nu,
-                phi_true=None,
-                mu_phi_mp=None,
-                sigma_phi_mp=None,
-                mu_l_ci=cell.mean_mu_l_ci,
-                sigma_l_ci=None,
-                baseline_ratio=cell.baseline_ratio,
-            )
-        )
+    for cell in result.values():
+        head = (cell.alpha, cell.eta, cell.n_steps, cell.nu)
+        columns = zip(cell.phis, cell.mu_phi_mp, cell.sigma_phi_mp, cell.mu_l_ci, cell.sigma_l_ci)
+        rows += [ResultRow(*head, *values, None) for values in columns]
+        rows.append(ResultRow(*head, None, None, None, cell.mean_mu_l_ci, None, cell.baseline_ratio))
     return rows
 
 
-def _cell_text(value: float | None) -> str:
+def _optional_text(value: float | None) -> str:
     return "" if value is None else format_number(value)
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+def _phi_text(phi: float | None) -> str:
+    return MEAN_TOKEN if phi is None else format_number(phi)
+
+
+def _phi_float(text: str) -> float | None:
+    return None if text == MEAN_TOKEN else float(text)
+
+
+# (format, parse) of each ResultRow field
+_CODECS = (
+    (format_number, float),
+    (format_number, float),
+    (str, int),
+    (str, int),
+    (_phi_text, _phi_float),
+    (_optional_text, _optional_float),
+    (_optional_text, _optional_float),
+    (format_number, float),
+    (_optional_text, _optional_float),
+    (_optional_text, _optional_float),
+)
 
 
 def render_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    format_number(r.alpha),
-                    format_number(r.eta),
-                    str(r.n_steps),
-                    str(r.nu),
-                    MEAN_TOKEN if r.phi_true is None else format_number(r.phi_true),
-                    _cell_text(r.mu_phi_mp),
-                    _cell_text(r.sigma_phi_mp),
-                    format_number(r.mu_l_ci),
-                    _cell_text(r.sigma_l_ci),
-                    _cell_text(r.baseline_ratio),
-                )
-            )
-        )
+    lines += [",".join(fmt(v) for (fmt, _), v in zip(_CODECS, r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -100,20 +89,7 @@ def parse_csv(text: str) -> list[ResultRow]:
     rows = []
     for line in lines[1:]:
         f = line.split(",")
-        if len(f) != 10:
+        if len(f) != len(_CODECS):
             raise ValueError(f"malformed CSV row: {line!r}")
-        rows.append(
-            ResultRow(
-                alpha=float(f[0]),
-                eta=float(f[1]),
-                n_steps=int(f[2]),
-                nu=int(f[3]),
-                phi_true=None if f[4] == MEAN_TOKEN else float(f[4]),
-                mu_phi_mp=float(f[5]) if f[5] else None,
-                sigma_phi_mp=float(f[6]) if f[6] else None,
-                mu_l_ci=float(f[7]),
-                sigma_l_ci=float(f[8]) if f[8] else None,
-                baseline_ratio=float(f[9]) if f[9] else None,
-            )
-        )
+        rows.append(ResultRow(*(parse(x) for (_, parse), x in zip(_CODECS, f))))
     return rows

@@ -9,8 +9,15 @@ import math
 
 import numpy as np
 
-from qmetro.bayes import _as_counts, min_confidence_interval, posterior_from_log_profiles
-from qmetro.ensemble import grid_tables
+from qmetro.bayes import _as_counts, min_confidence_interval, most_probable, posterior_from_log_profiles
+from qmetro.ensemble import (
+    SweepRow,
+    _alpha_key,
+    grid_tables,
+    sample_outcomes,
+    sweep_angles,
+    trial_stream,
+)
 from qmetro.quantum import _dephase_mask, measurement_probabilities
 
 
@@ -199,3 +206,29 @@ def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
         mean += e / len(phis)
         var += sum(wi * (li - e) ** 2 for wi, li in zip(w, lengths)) / len(phis) ** 2
     return mean, var
+
+
+def sweep_row_loop(alpha, noise, nu, n_phi, n_e, seed, domain, grid_size, y, tau):
+    """One sweep cell's SweepRow rebuilt angle by angle: the cell's draws from
+    its own stream, each record solved alone, then np.mean and np.std(ddof=1)
+    over each angle's 1-D arrays of estimates."""
+    nodes, log_profiles = grid_tables(alpha, noise, domain, grid_size)
+    stream = trial_stream(seed, _alpha_key(alpha), nu)
+    phis = sweep_angles(domain, n_phi)
+    per_angle = []  # (mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci) of each angle
+    for phi in phis:
+        records = sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, n_e, stream)
+        grids = [posterior_from_log_profiles(nodes, log_profiles, k) for k in records]
+        phi_mp = np.array([most_probable(g) for g in grids])
+        l_ci = np.array([min_confidence_interval(g, y, tau).length for g in grids])
+        per_angle.append(
+            (
+                float(np.mean(phi_mp)),
+                float(np.std(phi_mp, ddof=1)),
+                float(np.mean(l_ci)),
+                float(np.std(l_ci, ddof=1)),
+            )
+        )
+    columns = tuple(zip(*per_angle))
+    phis = tuple(float(p) for p in phis)
+    return SweepRow(alpha, noise.eta, noise.n_steps, nu, phis, *columns, float(np.mean(columns[2])))

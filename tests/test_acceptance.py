@@ -24,6 +24,7 @@ from qmetro.quantum import NOISELESS, NoiseModel, noisy_rotation, probe_state, p
 from oracles import dephasing_kraus, evolve_pure, exact_mean_l_ci, rotation_unitary
 
 SEED = 42
+N_E = 1000  # trials per angle in the noiseless sweeps
 ALL_ALPHAS = (0.0, 1 / 6, 1 / 3, 0.5)
 # chance that a correct sweep fails the exact-expectation check, over all its rows
 FAMILY_WISE_LEVEL = 1e-3
@@ -32,8 +33,8 @@ EXACT_RTOL = 1e-9
 
 
 def mean_l_ci_sem(row):
-    """Standard error of the angle-averaged mean uncertainty of a sweep row."""
-    return math.sqrt(sum(m.sigma_l_ci**2 / m.n_trials for m in row.per_phi)) / len(row.per_phi)
+    """Standard error of the angle-averaged mean uncertainty of a noiseless sweep row."""
+    return math.sqrt(sum(s**2 / N_E for s in row.sigma_l_ci)) / len(row.sigma_l_ci)
 
 
 def ratio_sem(rel_row, base_row):
@@ -51,40 +52,40 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def noiseless_rel():
-    res = sweep([0.0, 0.5], NoiseModel(1.0, 1), range(1, 11), n_phi=20, n_e=1000, seed=SEED)
-    return relative_uncertainty(res, 0.0)
+    res = sweep([0.0, 0.5], NoiseModel(1.0, 1), range(1, 11), n_phi=20, n_e=N_E, seed=SEED)
+    return relative_uncertainty(res)
 
 
 @pytest.fixture(scope="module")
 def noiseless_four():
-    return sweep(ALL_ALPHAS, NoiseModel(1.0, 1), [1, 5, 10], n_phi=20, n_e=1000, seed=SEED)
+    return sweep(ALL_ALPHAS, NoiseModel(1.0, 1), [1, 5, 10], n_phi=20, n_e=N_E, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def low_noise_rel():
     res = sweep(ALL_ALPHAS, NoiseModel(0.9, 5), range(1, 11), n_phi=10, n_e=500, seed=SEED)
-    return relative_uncertainty(res, 0.0)
+    return relative_uncertainty(res)
 
 
 @pytest.fixture(scope="module")
 def high_noise_rel():
     res = sweep(ALL_ALPHAS, NoiseModel(0.5, 5), range(1, 11), n_phi=10, n_e=500, seed=SEED)
-    return relative_uncertainty(res, 0.0)
+    return relative_uncertainty(res)
 
 
 def test_criterion_1_noiseless_advantage_nu10(noiseless_rel):
-    ratio = noiseless_rel.row(0.5, 10).baseline_ratio
+    ratio = noiseless_rel[0.5, 10].baseline_ratio
     report(1, abs(ratio - 0.75) <= 0.05, f"relative uncertainty at nu=10 is {ratio:.4f} (0.75 +- 0.05)")
 
 
 def test_criterion_2_noiseless_advantage_nu1(noiseless_rel):
-    ratio = noiseless_rel.row(0.5, 1).baseline_ratio
+    ratio = noiseless_rel[0.5, 1].baseline_ratio
     report(2, abs(ratio - 0.85) <= 0.05, f"relative uncertainty at nu=1 is {ratio:.4f} (0.85 +- 0.05)")
 
 
 def test_criterion_3_asymptote_direction(noiseless_rel):
-    rows5 = [noiseless_rel.row(0.5, nu) for nu in range(1, 11)]
-    rows0 = [noiseless_rel.row(0.0, nu) for nu in range(1, 11)]
+    rows5 = [noiseless_rel[0.5, nu] for nu in range(1, 11)]
+    rows0 = [noiseless_rel[0.0, nu] for nu in range(1, 11)]
     monotone = True
     for k in range(9):
         slack = math.hypot(ratio_sem(rows5[k], rows0[k]), ratio_sem(rows5[k + 1], rows0[k + 1]))
@@ -99,7 +100,7 @@ def test_criterion_4_entanglement_ordering(noiseless_four):
     ok = True
     details = []
     for nu in (1, 5, 10):
-        rows = [noiseless_four.row(a, nu) for a in ALL_ALPHAS]
+        rows = [noiseless_four[a, nu] for a in ALL_ALPHAS]
         for r_lo, r_hi in itertools.pairwise(rows):
             slack = math.hypot(mean_l_ci_sem(r_lo), mean_l_ci_sem(r_hi))
             if r_lo.mean_mu_l_ci < r_hi.mean_mu_l_ci - slack:
@@ -111,10 +112,10 @@ def test_criterion_4_entanglement_ordering(noiseless_four):
 
 
 def test_criterion_5_low_noise_regime(low_noise_rel):
-    ratio = low_noise_rel.row(0.5, 10).baseline_ratio
+    ratio = low_noise_rel[0.5, 10].baseline_ratio
     in_band = abs(ratio - 0.88) <= 0.06
     all_below_one = all(
-        low_noise_rel.row(a, nu).baseline_ratio < 1.0
+        low_noise_rel[a, nu].baseline_ratio < 1.0
         for a in ALL_ALPHAS[1:]
         for nu in range(1, 11)
     )
@@ -129,7 +130,7 @@ def test_criterion_6_high_noise_regime(high_noise_rel):
     ok = True
     averages = {}
     for a in ALL_ALPHAS[1:]:
-        ratios = [high_noise_rel.row(a, nu).baseline_ratio for nu in range(1, 11)]
+        ratios = [high_noise_rel[a, nu].baseline_ratio for nu in range(1, 11)]
         if min(ratios) < 0.97 or np.mean(ratios) <= 1.0:
             ok = False
         averages[a] = float(np.mean(ratios))
@@ -222,7 +223,7 @@ def test_uncertainty_decreases_with_measurements(noiseless_rel):
     # supporting invariant: angle-averaged uncertainty falls as nu grows,
     # within 1 sigma between adjacent points, for every probe in the sweep
     for alpha in (0.0, 0.5):
-        rows = [noiseless_rel.row(alpha, nu) for nu in range(1, 11)]
+        rows = [noiseless_rel[alpha, nu] for nu in range(1, 11)]
         for r_lo, r_hi in itertools.pairwise(rows):
             slack = math.hypot(mean_l_ci_sem(r_lo), mean_l_ci_sem(r_hi))
             assert r_hi.mean_mu_l_ci < r_lo.mean_mu_l_ci + slack
@@ -231,7 +232,7 @@ def test_uncertainty_decreases_with_measurements(noiseless_rel):
 def test_noiseless_rows_match_exact_expectation(noiseless_rel):
     # supporting invariant: every mean row lies within k standard errors of
     # its exact expectation over all count records, k Bonferroni-corrected
-    rows = noiseless_rel.rows
+    rows = list(noiseless_rel.values())
     k = NormalDist().inv_cdf(1 - FAMILY_WISE_LEVEL / (2 * len(rows)))
     worst = 0.0
     failures = []
@@ -240,7 +241,7 @@ def test_noiseless_rows_match_exact_expectation(noiseless_rel):
         mean, var_per_trial = exact_mean_l_ci(
             row.alpha, noise, row.nu, row.phis, DEFAULT_DOMAIN, DEFAULT_GRID_SIZE, DEFAULT_Y, DEFAULT_TAU
         )
-        sem = math.sqrt(var_per_trial / row.per_phi[0].n_trials)
+        sem = math.sqrt(var_per_trial / N_E)
         deviation = abs(row.mean_mu_l_ci - mean)
         if deviation > k * sem + EXACT_RTOL * mean:
             failures.append(f"alpha={row.alpha:.4g} nu={row.nu}: {row.mean_mu_l_ci:.6f} vs exact {mean:.6f}")

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qmetro
 from qmetro.cli import main
 from qmetro.config import ConfigError, parse_config
-from qmetro.report import CSV_HEADER, format_number, parse_csv, render_csv, rows_from_sweep
+from qmetro.report import CSV_HEADER, ResultRow, format_number, parse_csv, render_csv, rows_from_sweep
 from qmetro.ensemble import sweep, relative_uncertainty
 from qmetro.quantum import NOISELESS
 from qmetro.svgplot import line_plot
@@ -75,6 +77,13 @@ class TestProbsCommand:
 
     def test_eta_out_of_range_exits_nonzero(self, capsys):
         assert main(["probs", "--alpha", "0.5", "--phi", "0", "--eta", "2"]) == 2
+
+    def test_n_steps_default_is_config_default(self, capsys):
+        printed = []
+        for extra in ([], ["--n-steps", "5"], ["--n-steps", "1"]):
+            assert main(["probs", "--alpha", "0.3", "--phi", "0.7", "--eta", "0.9", *extra]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] != printed[2]
 
 
 class TestPosteriorCommand:
@@ -195,6 +204,14 @@ class TestSweepCommand:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 4
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_rejected(self, tmp_path, config_path, capsys, seed):
+        # the same range as the config file's seed key
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config_path), "--output", str(out), "--seed", seed]) == 2
+        assert f"--seed: value {seed} outside range [0, {2**64 - 1}]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, config_path, capsys, workers):
         out = tmp_path / "r.csv"
@@ -206,15 +223,35 @@ class TestSweepCommand:
 
 class TestCsvSchema:
     def test_mean_token_and_blank_fields(self):
-        res = relative_uncertainty(
-            sweep([0.0], NOISELESS, [1], n_phi=2, n_e=4, seed=3, grid_size=128), 0.0
-        )
+        res = relative_uncertainty(sweep([0.0], NOISELESS, [1], n_phi=2, n_e=4, seed=3, grid_size=128))
         text = render_csv(rows_from_sweep(res))
         mean_line = [l for l in text.splitlines() if ",mean," in l][0]
         fields = mean_line.split(",")
         assert fields[4] == "mean"
         assert fields[5] == "" and fields[6] == "" and fields[8] == ""
         assert fields[9] == "1"
+
+    @given(
+        st.lists(
+            st.builds(
+                ResultRow,
+                alpha=st.floats(allow_nan=False, allow_infinity=False),
+                eta=st.floats(0.0, 1.0),
+                n_steps=st.integers(1, 10**6),
+                nu=st.integers(0, 10**18),
+                phi_true=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                mu_phi_mp=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                sigma_phi_mp=st.none() | st.floats(0.0, allow_infinity=False),
+                mu_l_ci=st.floats(allow_nan=False, allow_infinity=False),
+                sigma_l_ci=st.none() | st.floats(0.0, allow_infinity=False),
+                baseline_ratio=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+            )
+        )
+    )
+    def test_roundtrip(self, rows):
+        # blank fields, mean rows, -0.0 and large nu come back as written
+        text = render_csv(rows)
+        assert render_csv(parse_csv(text)) == text
 
     def test_twelve_significant_digits(self):
         assert format_number(math.pi) == "3.14159265359"

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro.ensemble import (
-    _metrics_from_arrays,
+    DEFAULT_DOMAIN,
+    _angle_columns,
     asymptotic_relative_bound,
     grid_tables,
     relative_uncertainty,
@@ -16,6 +19,8 @@ from qmetro.ensemble import (
     trial_stream,
 )
 from qmetro.quantum import NOISELESS, NoiseModel
+
+from oracles import sweep_row_loop
 
 HALF_PI = math.pi / 2
 
@@ -51,15 +56,15 @@ class TestRunTrial:
     the lower end of the domain."""
 
     def test_certain_outcome(self):
-        row = sweep([1.0], NOISELESS, [50], n_phi=1, n_e=2, seed=5).row(1.0, 50)
+        row = sweep([1.0], NOISELESS, [50], n_phi=1, n_e=2, seed=5)[1.0, 50]
         assert row.phis == (0.0,)
-        assert row.per_phi[0].mu_phi_mp == 0.0 and row.per_phi[0].sigma_phi_mp == 0.0
+        assert row.mu_phi_mp == (0.0,) and row.sigma_phi_mp == (0.0,)
 
     def test_no_information(self):
-        row = sweep([0.5], NOISELESS, [0], n_phi=1, n_e=2, seed=6, grid_size=1024).row(0.5, 0)
+        row = sweep([0.5], NOISELESS, [0], n_phi=1, n_e=2, seed=6, grid_size=1024)[0.5, 0]
         spacing = HALF_PI / (1024 - 1)
-        assert row.per_phi[0].sigma_l_ci == 0.0
-        assert abs(row.per_phi[0].mu_l_ci - 0.95 * HALF_PI) <= 2 * spacing
+        assert row.sigma_l_ci == (0.0,)
+        assert abs(row.mu_l_ci[0] - 0.95 * HALF_PI) <= 2 * spacing
 
     def test_fixed_seed_repeatable(self):
         kwargs = dict(n_phi=2, n_e=5, seed=7, grid_size=256)
@@ -68,28 +73,55 @@ class TestRunTrial:
         assert a == b
 
 
-class TestEnsembleMetrics:
+class TestAngleColumns:
+    """The per-angle columns of a sweep row: each angle's mean and sample
+    standard deviation over its trials."""
+
     def test_identical_results(self):
-        m = _metrics_from_arrays(np.full(5, 0.4), np.full(5, 0.2))
-        assert m.sigma_phi_mp == 0.0 and m.sigma_l_ci == 0.0
-        assert m.mu_phi_mp == 0.4 and m.mu_l_ci == 0.2 and m.n_trials == 5
+        means, sigmas = _angle_columns(np.full((2, 5), 0.4))
+        assert means == (0.4, 0.4) and sigmas == (0.0, 0.0)
 
     def test_hand_arithmetic(self):
-        m = _metrics_from_arrays(np.array([0.1, 0.3]), np.array([0.2, 0.4]))
-        assert m.mu_l_ci == pytest.approx(0.3)
-        assert m.sigma_l_ci == pytest.approx(math.sqrt(0.02))
+        means, sigmas = _angle_columns(np.array([[0.1, 0.3], [0.2, 0.4]]))
+        assert means == pytest.approx((0.2, 0.3))
+        assert sigmas == pytest.approx((math.sqrt(0.02), math.sqrt(0.02)))
 
     def test_permutation_invariance(self):
-        phi_mp, l_ci = np.array([0.1, 0.2, 0.4]), np.array([0.5, 0.3, 0.1])
-        assert _metrics_from_arrays(phi_mp, l_ci) == _metrics_from_arrays(phi_mp[::-1], l_ci[::-1])
+        values = np.array([[0.1, 0.2, 0.4], [0.5, 0.3, 0.1]])
+        assert _angle_columns(values) == _angle_columns(values[:, ::-1])
+
+    @pytest.mark.parametrize(
+        "alpha, noise, nu, n_phi, n_e",
+        [
+            (0.0, NOISELESS, 4, 3, 40),
+            (0.5, NOISELESS, 4, 3, 40),
+            (1.0, NOISELESS, 4, 3, 40),
+            (0.3, NoiseModel(0.9, 2), 3, 3, 40),
+            (0.5, NOISELESS, 0, 2, 10),
+            (0.5, NOISELESS, 3, 3, 2),
+            (1 / 3, NOISELESS, 5, 1, 40),
+        ],
+        ids=["alpha-0", "alpha-0.5", "alpha-1", "eta-0.9", "nu-0", "n_e-2", "n_phi-1"],
+    )
+    def test_sweep_matches_per_angle_reference(self, alpha, noise, nu, n_phi, n_e):
+        # bit for bit: the columns reduce each angle's trials on their own
+        args = dict(
+            n_phi=n_phi, n_e=n_e, seed=17, domain=DEFAULT_DOMAIN, grid_size=256, y=0.95, tau=1e-3
+        )
+        row = sweep([alpha], noise, [nu], **args)[alpha, nu]
+        assert row == sweep_row_loop(alpha, noise, nu, **args)
 
 
 class TestSweep:
     def test_single_point_average(self):
-        res = sweep([0.5], NOISELESS, [3], n_phi=1, n_e=20, seed=11)
-        row = res.row(0.5, 3)
-        assert len(row.per_phi) == 1
-        assert row.mean_mu_l_ci == row.per_phi[0].mu_l_ci
+        row = sweep([0.5], NOISELESS, [3], n_phi=1, n_e=20, seed=11)[0.5, 3]
+        assert len(row.mu_l_ci) == 1
+        assert row.mean_mu_l_ci == row.mu_l_ci[0]
+
+    def test_rows_keyed_in_sweep_order(self):
+        rows = sweep([0.5, 0.0], NOISELESS, [2, 1], n_phi=1, n_e=2, seed=1, grid_size=64)
+        assert list(rows) == [(0.5, 2), (0.5, 1), (0.0, 2), (0.0, 1)]
+        assert all((row.alpha, row.nu) == key for key, row in rows.items())
 
     def test_angles_span_domain_open_at_top(self):
         phis = sweep_angles((0.0, HALF_PI), 20)
@@ -101,14 +133,30 @@ class TestSweep:
         parallel = sweep([0.0, 0.5], NOISELESS, workers=2, **kwargs)
         assert serial == parallel
 
+    @settings(max_examples=10, deadline=None)  # each example starts a 2-process pool
+    @given(
+        alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True),
+        nus=st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True),
+        eta=st.floats(0.5, 1.0),
+        n_steps=st.integers(1, 3),
+        n_phi=st.integers(1, 3),
+        n_e=st.integers(2, 6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_worker_count_invariance(self, alphas, nus, eta, n_steps, n_phi, n_e, seed):
+        args = (alphas, NoiseModel(eta, n_steps), nus)
+        kwargs = dict(n_phi=n_phi, n_e=n_e, seed=seed, grid_size=64)
+        serial = sweep(*args, workers=1, **kwargs)
+        assert list(sweep(*args, workers=2, **kwargs).items()) == list(serial.items())
+
     def test_cell_independent_of_sweep_layout(self):
         # a cell's stream is keyed on its (alpha, nu) values, not on their
         # positions in the sweep or on which worker runs it
         kwargs = dict(n_phi=3, n_e=8, seed=99, grid_size=256)
-        alone = sweep([0.5], NOISELESS, [2], **kwargs).row(0.5, 2)
+        alone = sweep([0.5], NOISELESS, [2], **kwargs)[0.5, 2]
         for workers in (1, 2):
             reversed_sweep = sweep([0.5, 1 / 3, 0.0], NOISELESS, [3, 2, 1], workers=workers, **kwargs)
-            assert reversed_sweep.row(0.5, 2) == alone
+            assert reversed_sweep[0.5, 2] == alone
         assert sweep([-0.0], NOISELESS, [2], **kwargs) == sweep([0.0], NOISELESS, [2], **kwargs)
 
     def test_validation(self):
@@ -137,10 +185,10 @@ class TestSweep:
         assert grid_tables.cache_info().misses == 1
 
     def test_statistical_sanity(self):
-        row = sweep([0.0], NOISELESS, [100], n_phi=2, n_e=300, seed=13).row(0.0, 100)
+        n_e = 300
+        row = sweep([0.0], NOISELESS, [100], n_phi=2, n_e=n_e, seed=13)[0.0, 100]
         assert row.phis[1] == math.pi / 4
-        m = row.per_phi[1]
-        assert abs(m.mu_phi_mp - math.pi / 4) <= 4 * m.sigma_phi_mp / math.sqrt(m.n_trials)
+        assert abs(row.mu_phi_mp[1] - math.pi / 4) <= 4 * row.sigma_phi_mp[1] / math.sqrt(n_e)
 
 
 @pytest.fixture(scope="module")
@@ -151,18 +199,23 @@ def small_sweep():
 class TestRelativeUncertainty:
 
     def test_self_ratio_is_one(self, small_sweep):
-        rel = relative_uncertainty(small_sweep, 0.0)
-        assert rel.row(0.0, 1).baseline_ratio == 1.0
-        assert rel.row(0.0, 2).baseline_ratio == 1.0
+        rel = relative_uncertainty(small_sweep)
+        assert rel[0.0, 1].baseline_ratio == 1.0
+        assert rel[0.0, 2].baseline_ratio == 1.0
 
     def test_ratio_values(self, small_sweep):
-        rel = relative_uncertainty(small_sweep, 0.0)
-        expected = small_sweep.row(0.5, 2).mean_mu_l_ci / small_sweep.row(0.0, 2).mean_mu_l_ci
-        assert rel.row(0.5, 2).baseline_ratio == pytest.approx(expected)
+        rel = relative_uncertainty(small_sweep)
+        expected = small_sweep[0.5, 2].mean_mu_l_ci / small_sweep[0.0, 2].mean_mu_l_ci
+        assert rel[0.5, 2].baseline_ratio == pytest.approx(expected)
+        assert list(rel) == list(small_sweep)
 
     def test_missing_baseline(self, small_sweep):
-        with pytest.raises(ValueError):
-            relative_uncertainty(small_sweep, 0.25)
+        without_nu_2 = {key: row for key, row in small_sweep.items() if key != (0.0, 2)}
+        with pytest.raises(ValueError, match="baseline alpha 0.0 missing nu=2"):
+            relative_uncertainty(without_nu_2)
+        entangled_only = {key: row for key, row in small_sweep.items() if key[0] != 0.0}
+        with pytest.raises(ValueError, match="baseline alpha 0.0 missing nu=1"):
+            relative_uncertainty(entangled_only)
 
 
 class TestAsymptoticBound:
