@@ -152,6 +152,14 @@ def _cumulative_at(nodes, density, cumulative, rows, x) -> np.ndarray:
     return np.where(x <= nodes[0], 0.0, np.where(x >= nodes[-1], cumulative[rows, -1], inside))
 
 
+def check_interval_target(y: float, tau: float) -> None:
+    """Reject a target mass y outside (0, 1) or a tolerance tau that is not positive."""
+    if not 0.0 < y < 1.0:
+        raise ValueError(f"y must be in (0, 1), got {y}")
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+
+
 def min_confidence_interval(
     grid: PosteriorGrid,
     y: float = DEFAULT_Y,
@@ -167,10 +175,7 @@ def min_confidence_interval(
     within tolerance. The rows of a block that still need bisection are
     refined together, each with its own endpoint and step budget.
     """
-    if not 0.0 < y < 1.0:
-        raise ValueError(f"y must be in (0, 1), got {y}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    check_interval_target(y, tau)
     nodes = grid.nodes
     density, cumulative = np.atleast_2d(grid.density), np.atleast_2d(grid.cumulative)
     n_rows, n = cumulative.shape

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import bayes, ensemble, quantum, report, svgplot
-from .config import MAX_SEED, ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -18,54 +18,42 @@ EXIT_COMPUTATION = 3
 EXIT_IO = 4
 
 
-def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+def _load_config(ns: argparse.Namespace, *keys: str) -> ExperimentConfig:
+    """The file named by --config, if any, overridden by the flags that set keys."""
+    path = getattr(ns, "config", None)
+    text = "" if path is None else Path(path).read_text(encoding="utf-8")
+    return parse_config(text, {key: getattr(ns, key) for key in keys})
+
+
+def _sweep_args(cfg: ExperimentConfig, noise: quantum.NoiseModel) -> tuple:
+    """The settings of ensemble.sweep and check_sweep, in their order, from a config."""
+    return (cfg.alphas, noise, cfg.nus, cfg.resolved_n_phi, cfg.resolved_n_e,
+            cfg.seed, cfg.domain, cfg.grid_size, cfg.y, cfg.tau)
 
 
 def _parse_counts(raw: str) -> list[int]:
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"counts must be four comma-separated integers, got {raw!r}")
     try:
-        counts = [int(p) for p in parts]
+        return [int(p) for p in raw.split(",")]
     except ValueError:
-        raise ConfigError(f"counts must be integers, got {raw!r}") from None
-    if any(c < 0 for c in counts):
-        raise ConfigError(f"counts must be nonnegative, got {raw!r}")
-    return counts
-
-
-def _parse_domain(raw: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"domain must be 'lo,hi', got {raw!r}")
-    return float(parts[0]), float(parts[1])
+        raise ValueError(f"counts must be integers, got {raw!r}") from None
 
 
 def cmd_probs(ns: argparse.Namespace) -> int:
-    noise = quantum.NoiseModel(ns.eta, ns.n_steps)
+    cfg = _load_config(ns, "eta", "n_steps")
+    noise = quantum.NoiseModel(cfg.eta, cfg.n_steps)
     probs = quantum.measurement_probabilities(ns.alpha, ns.phi, noise)
     print(", ".join(report.format_number(p) for p in probs))
     return EXIT_OK
 
 
 def cmd_posterior(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns.config)
-    eta = cfg.eta if ns.eta is None else ns.eta
-    n_steps = cfg.n_steps if ns.n_steps is None else ns.n_steps
-    grid_size = cfg.grid_size if ns.grid_size is None else ns.grid_size
-    domain = cfg.domain if ns.domain is None else _parse_domain(ns.domain)
+    cfg = _load_config(ns, "eta", "n_steps", "grid_size", "domain")
     counts = _parse_counts(ns.counts)
-    noise = quantum.NoiseModel(eta, n_steps)
-
-    nodes, log_profiles = ensemble.grid_tables(ns.alpha, noise, domain, grid_size)
-    try:
-        grid = bayes.posterior_from_log_profiles(nodes, log_profiles, counts)
-    except bayes.DegenerateEvidenceError:
-        print(f"error: counts {counts} are impossible for this probe", file=sys.stderr)
-        return EXIT_COMPUTATION
+    noise = quantum.NoiseModel(cfg.eta, cfg.n_steps)
+    # a config file means the same to both commands: it must be valid for a sweep
+    ensemble.check_sweep(*_sweep_args(cfg, noise))
+    nodes, log_profiles = ensemble.grid_tables(ns.alpha, noise, cfg.domain, cfg.grid_size)
+    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, counts)
 
     out = Path(ns.output)
     lines = ["phi,density"]
@@ -86,32 +74,14 @@ def cmd_posterior(ns: argparse.Namespace) -> int:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns.config)
-    if ns.seed is not None:
-        if not 0 <= ns.seed <= MAX_SEED:
-            raise ConfigError(f"--seed: value {ns.seed} outside range [0, {MAX_SEED}]")
-        cfg.seed = ns.seed
-    if ns.output is not None:
-        cfg.output_path = ns.output
+    cfg = _load_config(ns, "seed", "output")
     noise = quantum.NoiseModel(cfg.eta, cfg.n_steps)
-    result = ensemble.sweep(
-        alphas=cfg.alphas,
-        noise=noise,
-        nus=cfg.nus,
-        n_phi=cfg.resolved_n_phi,
-        n_e=cfg.resolved_n_e,
-        seed=cfg.seed,
-        domain=cfg.domain,
-        grid_size=cfg.grid_size,
-        y=cfg.y,
-        tau=cfg.tau,
-        workers=ns.workers,
-    )
+    result = ensemble.sweep(*_sweep_args(cfg, noise), workers=ns.workers)
     baseline = ensemble.BASELINE_ALPHA
     if baseline in cfg.alphas:
         result = ensemble.relative_uncertainty(result)
 
-    out = Path(cfg.output_path)
+    out = Path(cfg.output)
     out.write_text(report.render_csv(report.rows_from_sweep(result)), encoding="utf-8")
 
     if ns.plot:
@@ -144,31 +114,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian two-qubit rotation estimation: probabilities, posteriors, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = ExperimentConfig()
 
     p = sub.add_parser("probs", help="print outcome probabilities for one probe and angle")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--eta", type=float, default=defaults.eta)
-    p.add_argument("--n-steps", type=int, default=defaults.n_steps)
+    p.add_argument("--eta")
+    p.add_argument("--n-steps")
     p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("posterior", help="emit one posterior as CSV (and optional SVG)")
     p.add_argument("--config", default=None)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--counts", default="0,0,0,0", help="k1,k2,k3,k4")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--domain", default=None, help="lo,hi in radians")
-    p.add_argument("--grid-size", type=int, default=None)
+    p.add_argument("--eta")
+    p.add_argument("--n-steps")
+    p.add_argument("--domain", help="lo,hi in radians")
+    p.add_argument("--grid-size")
     p.add_argument("--output", default="posterior.csv")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("sweep", help="run the Monte Carlo sweep and write the results CSV")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument("--seed")
+    p.add_argument("--output")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -183,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     except (bayes.DegenerateEvidenceError, bayes.ConvergenceError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

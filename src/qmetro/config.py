@@ -1,4 +1,8 @@
-"""Flat key=value experiment configuration with validated defaults."""
+"""Flat key=value experiment configuration.
+
+Parsing checks syntax only, for config lines and the CLI flags that set a key
+alike. The library code that takes a value checks its range.
+"""
 
 from __future__ import annotations
 
@@ -10,20 +14,15 @@ from .ensemble import DEFAULT_DOMAIN
 
 
 class ConfigError(ValueError):
-    """Malformed, out-of-range, or unknown configuration entry."""
-
-
-DEFAULT_ALPHAS = (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5)
-DEFAULT_NUS = tuple(range(1, 11))
-MAX_SEED = 2**64 - 1
+    """Malformed or unknown configuration entry."""
 
 
 @dataclass
 class ExperimentConfig:
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
+    alphas: tuple[float, ...] = (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5)
     eta: float = 1.0
     n_steps: int = 5
-    nus: tuple[int, ...] = DEFAULT_NUS
+    nus: tuple[int, ...] = tuple(range(1, 11))
     n_e: int | None = None  # defaults depend on eta, see resolved_n_e
     n_phi: int | None = None
     grid_size: int = DEFAULT_GRID_SIZE
@@ -31,7 +30,7 @@ class ExperimentConfig:
     tau: float = DEFAULT_TAU
     domain: tuple[float, float] = DEFAULT_DOMAIN
     seed: int = 0
-    output_path: str = "results.csv"
+    output: str = "results.csv"
 
     @property
     def resolved_n_e(self) -> int:
@@ -46,46 +45,50 @@ class ExperimentConfig:
         return 20 if self.eta == 1.0 else 10
 
 
-def _fail(key: str, line_no: int, detail: str) -> None:
-    raise ConfigError(f"line {line_no}: key '{key}': {detail}")
-
-
-def _parse_float(key, line_no, raw, lo=None, hi=None) -> float:
+def _float(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        _fail(key, line_no, f"not a number: {raw!r}")
+        raise ValueError(f"not a number: {raw!r}") from None
     if not math.isfinite(value):
-        _fail(key, line_no, f"not finite: {raw!r}")
-    if lo is not None and value < lo or hi is not None and value > hi:
-        _fail(key, line_no, f"value {value} outside range [{lo}, {hi}]")
+        raise ValueError(f"not finite: {raw!r}")
     return value
 
 
-def _parse_int(key, line_no, raw, lo=None, hi=None) -> int:
+def _int(raw: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        _fail(key, line_no, f"not an integer: {raw!r}")
-    if lo is not None and value < lo or hi is not None and value > hi:
-        _fail(key, line_no, f"value {value} outside range [{lo}, {hi}]")
-    return value
+        raise ValueError(f"not an integer: {raw!r}") from None
 
 
-def _parse_list(key, line_no, raw, parse, lo=None, hi=None) -> tuple:
-    values = tuple(parse(key, line_no, part, lo, hi) for part in raw.split(","))
-    if len(set(values)) < len(values):
-        _fail(key, line_no, f"duplicate values in {raw!r}")
-    return values
+def _list(parse):
+    return lambda raw: tuple(parse(part) for part in raw.split(","))
 
 
-def parse_config(source: str) -> ExperimentConfig:
-    """Parse a key=value document (one entry per line, '#' comments).
+def _domain(raw: str) -> tuple[float, float]:
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'lo,hi', got {raw!r}")
+    return _float(parts[0]), _float(parts[1])
 
-    Unknown keys and out-of-range values raise ConfigError naming the
-    offending key and line.
-    """
-    cfg = ExperimentConfig()
+
+def _path(raw: str) -> str:
+    if not raw:
+        raise ValueError("empty path")
+    return raw
+
+
+# the parser of each key, which is also the name of its ExperimentConfig field
+PARSERS = {
+    "alphas": _list(_float), "eta": _float, "n_steps": _int, "nus": _list(_int),
+    "n_e": _int, "n_phi": _int, "grid_size": _int, "y": _float, "tau": _float,
+    "domain": _domain, "seed": _int, "output": _path,
+}
+
+
+def _entries(source: str, flags: dict[str, str | None]):
+    """(key, raw value, where it was set) for each config line, then each flag given."""
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -94,43 +97,26 @@ def parse_config(source: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: expected key=value, got {raw_line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key == "alphas":
-            cfg.alphas = _parse_list(key, line_no, raw, _parse_float, 0.0, 1.0)
-        elif key == "eta":
-            cfg.eta = _parse_float(key, line_no, raw, 0.0, 1.0)
-        elif key == "n_steps":
-            cfg.n_steps = _parse_int(key, line_no, raw, 1)
-        elif key == "nus":
-            cfg.nus = _parse_list(key, line_no, raw, _parse_int, 0)
-        elif key == "n_e":
-            cfg.n_e = _parse_int(key, line_no, raw, 2)
-        elif key == "n_phi":
-            cfg.n_phi = _parse_int(key, line_no, raw, 1)
-        elif key == "grid_size":
-            cfg.grid_size = _parse_int(key, line_no, raw, 3)
-        elif key == "y":
-            cfg.y = _parse_float(key, line_no, raw)
-            if not 0.0 < cfg.y < 1.0:
-                _fail(key, line_no, f"value {cfg.y} outside open range (0, 1)")
-        elif key == "tau":
-            cfg.tau = _parse_float(key, line_no, raw)
-            if cfg.tau <= 0:
-                _fail(key, line_no, f"value {cfg.tau} must be positive")
-        elif key == "domain":
-            parts = raw.split(",")
-            if len(parts) != 2:
-                _fail(key, line_no, f"expected 'lo,hi', got {raw!r}")
-            lo = _parse_float(key, line_no, parts[0])
-            hi = _parse_float(key, line_no, parts[1])
-            if lo >= hi:
-                _fail(key, line_no, f"requires lo < hi, got {lo} >= {hi}")
-            cfg.domain = (lo, hi)
-        elif key == "seed":
-            cfg.seed = _parse_int(key, line_no, raw, 0, MAX_SEED)
-        elif key == "output":
-            if not raw:
-                _fail(key, line_no, "empty path")
-            cfg.output_path = raw
-        else:
+        if key not in PARSERS:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
+        yield key, raw, f"line {line_no}: key '{key}'"
+    for key, raw in flags.items():
+        if raw is not None:
+            yield key, raw, "--" + key.replace("_", "-")
+
+
+def parse_config(source: str, flags: dict[str, str | None] | None = None) -> ExperimentConfig:
+    """Parse a key=value document (one entry per line, '#' comments), then
+    the raw values of CLI flags by key, which override it; a None flag is
+    not given.
+
+    Unknown keys and malformed values raise ConfigError naming the offending
+    key and line, or the flag (--n-steps for n_steps).
+    """
+    cfg = ExperimentConfig()
+    for key, raw, where in _entries(source, flags or {}):
+        try:
+            setattr(cfg, key, PARSERS[key](raw))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return cfg

@@ -35,6 +35,7 @@ from .bayes import (
     DEFAULT_GRID_SIZE,
     DEFAULT_TAU,
     DEFAULT_Y,
+    check_interval_target,
     min_confidence_interval,
     most_probable,
     posterior_from_log_profiles,
@@ -44,6 +45,7 @@ from .quantum import NoiseModel, measurement_probabilities, profile_grid
 DEFAULT_DOMAIN = (0.0, math.pi / 2)
 # the separable probe, which relative uncertainties are measured against
 BASELINE_ALPHA = 0.0
+MAX_SEED = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,6 @@ def sample_outcomes(
 ) -> np.ndarray:
     """n_draws independent count records of nu outcomes each, weighted by the
     profile; shape (n_draws, 4)."""
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
     p = np.clip(np.asarray(profile, dtype=float), 0.0, None)
     return stream.multinomial(nu, p / p.sum(), size=n_draws)
 
@@ -167,6 +167,26 @@ def _run_cell(args) -> SweepRow:
     )
 
 
+def check_sweep(alphas, noise, nus, n_phi, n_e, seed, domain, grid_size, y, tau) -> None:
+    """Reject any out-of-range sweep setting. Builds each alpha's grid table, which
+    checks alpha, domain and grid size; cells and forked workers share the cache."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
+    if n_phi < 1:
+        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
+    if n_e < 2:
+        raise ValueError(f"n_e must be >= 2, got {n_e}")
+    for name, values in (("alphas", alphas), ("nus", nus)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must be distinct, got {list(values)}")
+    for nu in nus:
+        if nu < 0:
+            raise ValueError(f"nus must be nonnegative, got {nu}")
+    check_interval_target(y, tau)
+    for alpha in alphas:
+        grid_tables(alpha, noise, domain, grid_size)
+
+
 def sweep(
     alphas: Sequence[float],
     noise: NoiseModel,
@@ -181,25 +201,18 @@ def sweep(
     workers: int = 1,
 ) -> dict[tuple[float, int], SweepRow]:
     """Run n_e trials at each of n_phi true angles for every (alpha, nu) cell;
-    the rows keyed by (alpha, nu), in sweep order."""
-    if n_phi < 1:
-        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
-    if n_e < 2:
-        raise ValueError(f"n_e must be >= 2, got {n_e}")
+    the rows keyed by (alpha, nu), in sweep order. Every setting is checked
+    before the first cell runs; no more workers than cells run."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    for name, values in (("alphas", alphas), ("nus", nus)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} must be distinct, got {list(values)}")
-    for nu in nus:
-        if nu < 0:
-            raise ValueError(f"nus must be nonnegative, got {nu}")
+    check_sweep(alphas, noise, nus, n_phi, n_e, seed, domain, grid_size, y, tau)
     phis = sweep_angles(domain, n_phi)
     tasks = [
         (alpha, noise, int(nu), phis, n_e, seed, domain, grid_size, y, tau)
         for alpha in alphas
         for nu in nus
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, tasks))

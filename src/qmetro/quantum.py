@@ -63,8 +63,9 @@ def _rotation_batch(phis: np.ndarray) -> np.ndarray:
     Each qubit turns by the real 2x2 R(phi) = [[cos(phi/2), sin(phi/2)],
     [-sin(phi/2), cos(phi/2)]].
     """
-    if not np.all(np.isfinite(phis)):
-        raise ValueError("all angles must be finite")
+    finite = np.isfinite(phis)
+    if not finite.all():
+        raise ValueError(f"angles must be finite, got {phis[~finite][0]}")
     c, s = np.cos(phis / 2.0), np.sin(phis / 2.0)
     r = np.empty((len(phis), 2, 2))
     r[:, 0, 0] = c

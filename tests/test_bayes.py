@@ -186,10 +186,12 @@ class TestMinConfidenceInterval:
 
     def test_invalid_arguments(self):
         grid = posterior(0.5, [0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            min_confidence_interval(grid, y=1.2)
-        with pytest.raises(ValueError):
-            min_confidence_interval(grid, y=0.95, tau=0.0)
+        for y in (1.2, np.nan):
+            with pytest.raises(ValueError, match=rf"y must be in \(0, 1\), got {y}"):
+                min_confidence_interval(grid, y=y)
+        for tau in (0.0, np.nan):
+            with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
+                min_confidence_interval(grid, y=0.95, tau=tau)
 
     def test_more_data_shrinks_expected_interval(self):
         # paired trials: extending a count record at the same true angle must

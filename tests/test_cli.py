@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 import qmetro
 from qmetro.cli import main
-from qmetro.config import ConfigError, parse_config
+from qmetro.config import PARSERS, ConfigError, ExperimentConfig, parse_config
 from qmetro.report import CSV_HEADER, ResultRow, format_number, parse_csv, render_csv, rows_from_sweep
-from qmetro.ensemble import sweep, relative_uncertainty
-from qmetro.quantum import NOISELESS
+from qmetro.ensemble import grid_tables, sweep, relative_uncertainty
+from qmetro.quantum import NOISELESS, NoiseModel
 from qmetro.svgplot import line_plot
 
 
@@ -36,8 +37,10 @@ class TestParseConfig:
         assert cfg.resolved_n_e == 500 and cfg.resolved_n_phi == 10
 
     def test_eta_range_error(self):
-        with pytest.raises(ConfigError, match=r"\[0\.0, 1\.0\]"):
-            parse_config("eta=1.5")
+        # the parser takes any finite number; NoiseModel checks the range
+        cfg = parse_config("eta=1.5")
+        with pytest.raises(ValueError, match=r"eta must be in \[0, 1\], got 1\.5"):
+            NoiseModel(cfg.eta, cfg.n_steps)
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="line 2.*unknown key 'bogus'"):
@@ -55,13 +58,29 @@ class TestParseConfig:
         assert cfg.domain[1] == pytest.approx(3.14159)
 
     def test_bad_domain(self):
-        with pytest.raises(ConfigError, match="lo < hi"):
-            parse_config("domain=2,1")
+        cfg = parse_config("domain=2,1")
+        with pytest.raises(ValueError, match=r"lo < hi, got \(2\.0, 1\.0\)"):
+            grid_tables(0.5, NOISELESS, cfg.domain, cfg.grid_size)
 
     @pytest.mark.parametrize("key, raw", [("alphas", "0,0.5,0.0"), ("nus", "1,2,1")])
     def test_duplicate_list_values(self, key, raw):
-        with pytest.raises(ConfigError, match=f"line 2: key '{key}': duplicate values"):
-            parse_config(f"eta=1\n{key}={raw}")
+        cfg = parse_config(f"eta=1\n{key}={raw}")
+        message = f"{key} must be distinct, got {list(getattr(cfg, key))}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(cfg.alphas, NOISELESS, cfg.nus, n_phi=1, n_e=2, seed=cfg.seed, grid_size=16)
+
+    def test_flag_overrides_file_and_is_named(self):
+        cfg = parse_config("seed=3\nn_steps=2", {"seed": "7", "n_steps": None})
+        assert cfg.seed == 7 and cfg.n_steps == 2
+        with pytest.raises(ConfigError, match=r"^--n-steps: not an integer: 'x'$"):
+            parse_config("", {"n_steps": "x"})
+
+    def test_readme_key_table_matches_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table_keys = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+        assert sorted(table_keys) == sorted(PARSERS)
+        # every key is its own ExperimentConfig field
+        assert set(PARSERS) == set(ExperimentConfig.__dataclass_fields__)
 
 
 class TestProbsCommand:
@@ -77,6 +96,12 @@ class TestProbsCommand:
 
     def test_eta_out_of_range_exits_nonzero(self, capsys):
         assert main(["probs", "--alpha", "0.5", "--phi", "0", "--eta", "2"]) == 2
+
+    @pytest.mark.parametrize("eta", ["1", "0.9"], ids=["pure", "noisy"])
+    @pytest.mark.parametrize("phi", ["inf", "nan"])
+    def test_non_finite_phi_named(self, capsys, phi, eta):
+        assert main(["probs", "--alpha", "0.5", "--phi", phi, "--eta", eta]) == 2
+        assert f"angles must be finite, got {phi}" in capsys.readouterr().err
 
     def test_n_steps_default_is_config_default(self, capsys):
         printed = []
@@ -129,7 +154,7 @@ class TestPosteriorCommand:
         [
             ("--grid-size", "2", "grid_size must be >= 3, got 2"),
             ("--grid-size", "1", "grid_size must be >= 3, got 1"),
-            ("--domain", "0,inf", "got (0.0, inf)"),
+            ("--domain", "0,inf", "--domain: not finite: 'inf'"),
         ],
         ids=["grid-size-2", "grid-size-1", "domain-inf"],
     )
@@ -141,6 +166,17 @@ class TestPosteriorCommand:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert proc.returncode == 2
         assert named in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [("1,2,3", "[1, 2, 3]"), ("1,-2,3,4", "[1, -2, 3, 4]"), ("1,two,3,4", "'1,two,3,4'")],
+        ids=["three", "negative", "word"],
+    )
+    def test_bad_counts_rejected(self, tmp_path, capsys, counts, named):
+        out = tmp_path / "post.csv"
+        assert main(["posterior", f"--counts={counts}", "--output", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_plot_emitted_and_deterministic(self, tmp_path):
@@ -206,11 +242,17 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_rejected(self, tmp_path, config_path, capsys, seed):
-        # the same range as the config file's seed key
+        # checked by sweep, for the flag and the config file's seed key alike
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(config_path), "--output", str(out), "--seed", seed]) == 2
-        assert f"--seed: value {seed} outside range [0, {2**64 - 1}]" in capsys.readouterr().err
+        assert f"seed must be in [0, {2**64 - 1}], got {seed}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_output_rejected(self, tmp_path, config_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(config_path), "--output", ""]) == 2
+        assert "--output: empty path" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, config_path, capsys, workers):
@@ -219,6 +261,77 @@ class TestSweepCommand:
         assert main(args) == 2
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# (key, invalid value, text naming it on stderr): out of range, non-finite,
+# malformed, or a repeated list entry
+INVALID_SETTINGS = [
+    ("alphas", "0,1.5", "1.5"),
+    ("alphas", "0,inf", "inf"),
+    ("alphas", "0,x", "'x'"),
+    ("alphas", "0.25,0.5,0.25", "0.25"),
+    ("eta", "1.5", "1.5"),
+    ("eta", "nan", "nan"),
+    ("eta", "x", "'x'"),
+    ("n_steps", "-3", "-3"),
+    ("n_steps", "2.5", "2.5"),
+    ("nus", "1,-4", "-4"),
+    ("nus", "8,1,8", "8"),
+    ("nus", "1,x", "'x'"),
+    ("n_e", "-5", "-5"),
+    ("n_e", "many", "'many'"),
+    ("n_phi", "-2", "-2"),
+    ("grid_size", "-9", "-9"),
+    ("grid_size", "1e3", "1e3"),
+    ("y", "1.5", "1.5"),
+    ("y", "inf", "inf"),
+    ("tau", "-0.5", "-0.5"),
+    ("tau", "nan", "nan"),
+    ("domain", "2.5,1.5", "2.5"),
+    ("domain", "0.5", "0.5"),
+    ("domain", "0,inf", "inf"),
+    ("seed", "-1", "-1"),
+    ("seed", str(2**64), str(2**64)),
+    ("seed", "x", "'x'"),
+    ("output", "", "empty path"),
+]
+# the commands with a flag that sets each key ("sweep --output ''" has its own test)
+FLAG_COMMANDS = {
+    "eta": ("probs", "posterior"),
+    "n_steps": ("probs", "posterior"),
+    "grid_size": ("posterior",),
+    "domain": ("posterior",),
+    "seed": ("sweep",),
+}
+SETTING_CASES = [
+    pytest.param(source, key, raw, named, id=f"{source}-{key}={raw}")
+    for key, raw, named in INVALID_SETTINGS
+    for source in ("sweep-config", "posterior-config", *FLAG_COMMANDS.get(key, ()))
+]
+
+
+@pytest.mark.parametrize("source, key, raw, named", SETTING_CASES)
+def test_invalid_setting_rejected(tmp_path, capsys, source, key, raw, named):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "r.csv"
+    in_file = source.endswith("-config")
+    cfg.write_text(SMALL_CONFIG + (f"{key}={raw}\n" if in_file else ""))
+    command = source.removesuffix("-config")
+    argv = {
+        "probs": ["probs", "--alpha", "0.5", "--phi", "0.3"],
+        "posterior": ["posterior", "--config", str(cfg), "--output", str(out), "--plot"],
+        "sweep": ["sweep", "--config", str(cfg), "--output", str(out), "--plot"],
+    }[command]
+    if not in_file:
+        argv.append(f"--{key.replace('_', '-')}={raw}")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on a flag value it cannot convert
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
 
 
 class TestCsvSchema:

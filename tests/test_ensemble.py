@@ -133,7 +133,7 @@ class TestSweep:
         parallel = sweep([0.0, 0.5], NOISELESS, workers=2, **kwargs)
         assert serial == parallel
 
-    @settings(max_examples=10, deadline=None)  # each example starts a 2-process pool
+    @settings(max_examples=10, deadline=None)  # an example of 2+ cells starts a 2-process pool
     @given(
         alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True),
         nus=st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True),
@@ -177,6 +177,38 @@ class TestSweep:
     def test_duplicates_rejected(self, alphas, nus, name):
         with pytest.raises(ValueError, match=f"{name} must be distinct"):
             sweep(alphas, NOISELESS, nus, n_phi=1, n_e=2, seed=1)
+
+    def test_bad_alpha_rejected_before_any_cell(self, monkeypatch):
+        cells = []
+        monkeypatch.setattr("qmetro.ensemble._run_cell", cells.append)
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got 1\.5"):
+            sweep([0.0, 0.5, 1.5], NOISELESS, [1, 2], n_phi=1, n_e=2, seed=1, grid_size=16, workers=1)
+        assert cells == []
+
+    @pytest.mark.parametrize(
+        "workers, nus, pools",
+        [(64, [1, 2, 3], [3]), (2, [1, 2, 3], [2]), (64, [1], []), (1, [1, 2, 3], [])],
+        ids=["capped", "below-cells", "one-cell-serial", "one-worker-serial"],
+    )
+    def test_pool_capped_at_cell_count(self, monkeypatch, workers, nus, pools):
+        sizes = []
+
+        class RecordingPool:  # records the pool size and runs the cells in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("qmetro.ensemble.ProcessPoolExecutor", RecordingPool)
+        rows = sweep([0.5], NOISELESS, nus, n_phi=1, n_e=2, seed=1, grid_size=16, workers=workers)
+        assert sizes == pools and list(rows) == [(0.5, nu) for nu in nus]
 
     def test_profile_shared_across_trials(self):
         grid_tables.cache_clear()
