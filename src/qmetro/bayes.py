@@ -3,10 +3,10 @@
 The posterior lives on a uniform grid with trapezoid quadrature. Likelihoods
 are accumulated in log space so large measurement counts do not underflow.
 
-Every function takes one count record (shape (4,)) or a block of R records
-(shape (R, 4)) and works row by row on the block; a single record is a
-block of one, and each row's result is bit-identical to that record solved
-alone.
+Every function takes one count record (shape (K,)) or a block of R records
+(shape (R, K)), one count per column of the log-probability table, and works
+row by row on the block; a single record is a block of one, and each row's
+result is bit-identical to that record solved alone.
 """
 
 from __future__ import annotations
@@ -61,16 +61,17 @@ class PosteriorGrid:
     cumulative: np.ndarray
 
 
-def _as_counts(counts: Sequence[int]) -> np.ndarray:
+def check_counts(counts: Sequence[int], width: int) -> np.ndarray:
+    """counts as an array: one record of `width` nonnegative integers, or rows of them."""
     k = np.asarray(counts)
     if (
         k.ndim not in (1, 2)
-        or k.shape[-1] != 4
+        or k.shape[-1] != width
         or k.size == 0
         or np.any(k < 0)
         or not np.issubdtype(k.dtype, np.integer)
     ):
-        raise ValueError(f"counts must be 4 nonnegative integers or rows of them, got {counts!r}")
+        raise ValueError(f"counts must be {width} nonnegative integers or rows of them, got {counts!r}")
     return k
 
 
@@ -84,18 +85,19 @@ def posterior_from_log_profiles(
     log_profiles: np.ndarray,
     counts: Sequence[int],
 ) -> PosteriorGrid:
-    """Posterior from per-node log outcome probabilities (shape (G, 4)), as built
-    by ensemble.grid_tables, for one count record or a block of them.
+    """Posterior from per-node log outcome probabilities (shape (G, K)), as built
+    by ensemble.grid_tables, for one count record or a block of them; a
+    record holds one count per column of the table.
 
     The multinomial prefactor is omitted; it cancels in normalization.
     """
-    k = _as_counts(counts)
+    k = check_counts(counts, log_profiles.shape[1])
     block = np.atleast_2d(k)
     # the block's density and cumulative tables share one allocation; the
     # density rows first hold the log posterior
     density, cumulative = np.empty((2, len(block), len(nodes)))
     nonzero = block > 0
-    patterns = (nonzero @ (1, 2, 4, 8)).tolist()
+    patterns = (nonzero @ (1 << np.arange(block.shape[1]))).tolist()
     columns = {}  # log_profiles restricted to each pattern of nonzero counts
     for row, sel, pattern, out in zip(block.astype(float), nonzero, patterns, density):
         if not pattern:

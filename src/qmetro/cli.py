@@ -52,8 +52,8 @@ def cmd_posterior(ns: argparse.Namespace) -> int:
     noise = quantum.NoiseModel(cfg.eta, cfg.n_steps)
     # a config file means the same to both commands: it must be valid for a sweep
     ensemble.check_sweep(*_sweep_args(cfg, noise))
-    nodes, log_profiles = ensemble.grid_tables(ns.alpha, noise, cfg.domain, cfg.grid_size)
-    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, counts)
+    nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, noise, cfg.domain, cfg.grid_size)
+    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, ensemble.sufficient_records(counts, merge))
 
     out = Path(ns.output)
     lines = ["phi,density"]
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posterior", help="emit one posterior as CSV (and optional SVG)")
     p.add_argument("--config", default=None)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--counts", default="0,0,0,0", help="k1,k2,k3,k4")
+    p.add_argument("--counts", default="0,0,0,0", help="k_dd,k_du,k_ud,k_uu")
     p.add_argument("--eta")
     p.add_argument("--n-steps")
     p.add_argument("--domain", help="lo,hi in radians")

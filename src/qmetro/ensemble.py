@@ -9,11 +9,27 @@ every cell shares (noise, angles, n_e, grid, y, tau): it is bit-identical
 regardless of execution order, worker count, or which other alphas and nus
 share the sweep.
 
-An estimate depends only on the count record, not on the true angle or the
-trial, so each cell solves the posterior once per distinct record among all
-of its draws. The distinct records are solved in blocks of rows, one
-posterior, most-probable and shortest-interval call per block; each record's
-estimate is bit-identical to that record solved alone.
+Sufficient records: outcomes whose probabilities are equal at every grid
+node enter the likelihood only through the sum of their counts. grid_tables
+groups the four outcomes (dd, du, ud, uu) into K classes of equal
+probability profiles and keeps one log column per class; the sufficient
+record of a 4-count record is its counts summed per class. dd and uu always
+share a class: SWAP.(iY x iY) commutes with R(phi) x R(phi) and with equal
+dephasing on both qubits, maps the probe to minus itself and |dd> to |uu>.
+For the Bell probe (alpha = 1/2) SWAP alone fixes the probe, so du and ud
+share one too, and a record reduces to one binomial count. The rule reads
+the table only: a probe or channel without the symmetry merges nothing.
+
+An estimate depends only on the sufficient record, not on the true angle or
+the trial, so each cell solves the posterior once per distinct sufficient
+record among all of its draws. The draws themselves are 4-count records, so
+merging leaves the seed contract and the sampled records as they are, and
+sweep CSV rows match the unmerged solver's byte for byte except at exact MAP
+ties, where rounding picks the node (seen once on the benchmark workloads:
+alpha = 1/2, nu = 1000, phi = pi/4, seed 1, a record with k_dd + k_uu = nu/2
+whose posterior is symmetric about pi/4). The distinct records are solved in
+blocks of rows, one posterior, most-probable and shortest-interval call per
+block; each record's estimate is bit-identical to that record solved alone.
 
 A sweep returns one SweepRow per cell, keyed by (alpha, nu) in sweep order.
 Its per-angle columns hold each true angle's mean and standard deviation of
@@ -35,6 +51,7 @@ from .bayes import (
     DEFAULT_GRID_SIZE,
     DEFAULT_TAU,
     DEFAULT_Y,
+    check_counts,
     check_interval_target,
     min_confidence_interval,
     most_probable,
@@ -46,6 +63,9 @@ DEFAULT_DOMAIN = (0.0, math.pi / 2)
 # the separable probe, which relative uncertainties are measured against
 BASELINE_ALPHA = 0.0
 MAX_SEED = 2**64 - 1
+# outcomes whose probabilities differ by at most this at every grid node share
+# a class; the symmetric pairs differ by rounding only (<= 3.3e-16 measured)
+PROFILE_MATCH = 1e-14
 
 
 @dataclass(frozen=True)
@@ -87,8 +107,13 @@ def sample_outcomes(
 
 @lru_cache(maxsize=64)
 def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], grid_size: int):
-    """Posterior grid nodes over domain = (lo, hi) and their log outcome
-    probabilities, shape (grid_size, 4).
+    """Posterior grid nodes over domain = (lo, hi), the log probabilities of
+    each class of equal outcomes, shape (grid_size, K), and the (4, K) 0/1
+    merge map that sends a 4-count record to its sufficient record.
+
+    Outcomes whose probabilities agree within PROFILE_MATCH at every node
+    form one class, whose column is the log probability of its first
+    outcome; the classes are ordered by their first outcome.
 
     The one builder of posterior grids, for sweeps and single posteriors
     alike. Cached so the quantum channel is evaluated once per grid node per
@@ -100,12 +125,28 @@ def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], gr
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     nodes = np.linspace(lo, hi, grid_size)
+    profiles = profile_grid(alpha, nodes, noise)
+    gap = np.abs(profiles[:, :, None] - profiles[:, None, :]).max(axis=0)
+    firsts: list[int] = []  # the first outcome of each class
+    merge = np.zeros((4, 4), dtype=np.int64)
+    for outcome in range(4):
+        matches = [c for c, first in enumerate(firsts) if gap[outcome, first] <= PROFILE_MATCH]
+        if not matches:
+            firsts.append(outcome)
+        merge[outcome, matches[0] if matches else len(firsts) - 1] = 1
+    merge = merge[:, : len(firsts)]
     with np.errstate(divide="ignore"):
-        log_profiles = np.log(profile_grid(alpha, nodes, noise))
+        log_profiles = np.log(profiles[:, firsts])
     # the cache hands these same arrays to every caller
-    nodes.setflags(write=False)
-    log_profiles.setflags(write=False)
-    return nodes, log_profiles
+    for table in (nodes, log_profiles, merge):
+        table.setflags(write=False)
+    return nodes, log_profiles, merge
+
+
+def sufficient_records(counts, merge: np.ndarray) -> np.ndarray:
+    """One 4-count record, or rows of them, summed over each class of a
+    grid_tables merge map: the counts a posterior on that table takes."""
+    return check_counts(counts, len(merge)) @ merge
 
 
 def _estimate_from_counts(nodes, log_profiles, counts, y, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -126,29 +167,31 @@ def sweep_angles(domain: tuple[float, float], n_phi: int) -> np.ndarray:
 
 
 def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (n, 4) count array, in lexicographic order, and the
-    index of each row among them. A record of nu outcomes is fixed by its first
-    three counts, so only those are compared; a lexsort needs no bound on nu,
-    unlike a packed integer key, and is ~7x faster than np.unique(axis=0)."""
-    order = np.lexsort(counts[:, 2::-1].T)
-    ranked = counts[order]
+    """Distinct rows of an (n, K) array of records of nu outcomes each, in
+    lexicographic order, and the index of each row among them. A record is
+    fixed by its first K - 1 counts, so only those are compared (the one count
+    when K is 1); a lexsort needs no bound on nu, unlike a packed integer key,
+    and is ~7x faster than np.unique(axis=0)."""
+    keys = counts[:, : max(counts.shape[1] - 1, 1)]
+    order = np.lexsort(keys[:, ::-1].T)
+    ranked = keys[order]
     new = np.ones(len(counts), dtype=bool)
-    new[1:] = (ranked[1:, :3] != ranked[:-1, :3]).any(axis=1)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     inverse = np.empty(len(counts), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return ranked[new], inverse
+    return counts[order[new]], inverse
 
 
 def _run_cell(args) -> SweepRow:
     (alpha, noise, nu, phis, n_e, seed, domain, grid_size, y, tau) = args
-    nodes, log_profiles = grid_tables(alpha, noise, domain, grid_size)
+    nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
     stream = trial_stream(seed, _alpha_key(alpha), nu)
     counts = np.stack(
         [sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, n_e, stream) for phi in phis]
     )
-    # identical count records yield identical estimates, at any angle: solve
-    # each distinct record of the cell once
-    records, inverse = _distinct_records(counts.reshape(-1, 4))
+    # identical sufficient records yield identical estimates, at any angle:
+    # solve each distinct one of the cell once
+    records, inverse = _distinct_records(sufficient_records(counts.reshape(-1, 4), merge))
     # solve them in blocks of 32768 grid values (32 rows of a 1024-node
     # grid): a block's density and cumulative tables take 512 KiB
     block = max(1, 32768 // grid_size)

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 
-from qmetro.bayes import _as_counts, min_confidence_interval, most_probable, posterior_from_log_profiles
+from qmetro.bayes import check_counts, min_confidence_interval, most_probable, posterior_from_log_profiles
 from qmetro.ensemble import (
     SweepRow,
     _alpha_key,
     grid_tables,
     sample_outcomes,
+    sufficient_records,
     sweep_angles,
     trial_stream,
 )
@@ -88,13 +89,13 @@ def kraus_sequence_oracle(rho, phi, eta, n):
 
 def log_multinomial_coeff(counts):
     """log[nu! / (k1! k2! k3! k4!)] with nu = sum of counts."""
-    k = _as_counts(counts)
+    k = check_counts(counts, 4)
     return math.lgamma(int(k.sum()) + 1) - sum(math.lgamma(int(ki) + 1) for ki in k)
 
 
 def likelihood(profile_at, counts, phi):
     """Unnormalized multinomial likelihood of the counts at angle phi, with 0**0 = 1."""
-    k = _as_counts(counts)
+    k = check_counts(counts, 4)
     probs = np.asarray(profile_at(phi), dtype=float)
     value = math.exp(log_multinomial_coeff(k))
     for ki, pi in zip(k, probs):
@@ -176,16 +177,16 @@ def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
     """Exact expectation of a sweep row's mean_mu_l_ci, and n_e times its variance.
 
     Enumerates every count record of nu outcomes, weights it by its
-    multinomial probability at each true angle under the clipped,
-    renormalised profile the sweep samples from, and scores it with the
-    program's posterior and shortest-interval search.
+    4-outcome multinomial probability at each true angle under the clipped,
+    renormalised profile the sweep samples from, and scores its sufficient
+    record with the program's posterior and shortest-interval search.
     """
 
     def sampled_profile(phi):
         p = np.clip(measurement_probabilities(alpha, phi, noise), 0.0, None)
         return p / p.sum()
 
-    nodes, log_profiles = grid_tables(alpha, noise, domain, grid_size)
+    nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
     records = [
         (a, b, c, nu - a - b - c)
         for a in range(nu + 1)
@@ -195,7 +196,9 @@ def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
     weights = [[likelihood(sampled_profile, r, phi) for r in records] for phi in phis]
     # an impossible record has no posterior, and weight 0 at every angle
     lengths = [
-        min_confidence_interval(posterior_from_log_profiles(nodes, log_profiles, r), y, tau).length
+        min_confidence_interval(
+            posterior_from_log_profiles(nodes, log_profiles, sufficient_records(r, merge)), y, tau
+        ).length
         if any(w[i] > 0.0 for w in weights)
         else 0.0
         for i, r in enumerate(records)
@@ -210,15 +213,15 @@ def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
 
 def sweep_row_loop(alpha, noise, nu, n_phi, n_e, seed, domain, grid_size, y, tau):
     """One sweep cell's SweepRow rebuilt angle by angle: the cell's draws from
-    its own stream, each record solved alone, then np.mean and np.std(ddof=1)
-    over each angle's 1-D arrays of estimates."""
-    nodes, log_profiles = grid_tables(alpha, noise, domain, grid_size)
+    its own stream, each record's sufficient record solved alone, then np.mean
+    and np.std(ddof=1) over each angle's 1-D arrays of estimates."""
+    nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
     stream = trial_stream(seed, _alpha_key(alpha), nu)
     phis = sweep_angles(domain, n_phi)
     per_angle = []  # (mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci) of each angle
     for phi in phis:
         records = sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, n_e, stream)
-        grids = [posterior_from_log_profiles(nodes, log_profiles, k) for k in records]
+        grids = [posterior_from_log_profiles(nodes, log_profiles, sufficient_records(k, merge)) for k in records]
         phi_mp = np.array([most_probable(g) for g in grids])
         l_ci = np.array([min_confidence_interval(g, y, tau).length for g in grids])
         per_angle.append(

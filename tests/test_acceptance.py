@@ -18,7 +18,7 @@ from qmetro.bayes import (
     posterior_from_log_profiles,
 )
 from qmetro.cli import main
-from qmetro.ensemble import DEFAULT_DOMAIN, grid_tables, relative_uncertainty, sweep
+from qmetro.ensemble import DEFAULT_DOMAIN, grid_tables, relative_uncertainty, sufficient_records, sweep
 from qmetro.quantum import NOISELESS, NoiseModel, noisy_rotation, probe_state, pure_to_density
 
 from oracles import dephasing_kraus, evolve_pure, exact_mean_l_ci, rotation_unitary
@@ -143,8 +143,8 @@ def test_criterion_6_high_noise_regime(high_noise_rel):
 
 
 def test_criterion_7_analytic_posterior_oracle():
-    nodes, log_profiles = grid_tables(1.0, NOISELESS, (0.0, math.pi), 2048)
-    grid = posterior_from_log_profiles(nodes, log_profiles, [0, 1, 0, 0])
+    nodes, log_profiles, merge = grid_tables(1.0, NOISELESS, (0.0, math.pi), 2048)
+    grid = posterior_from_log_profiles(nodes, log_profiles, sufficient_records([0, 1, 0, 0], merge))
     expected = (8 / (3 * math.pi)) * np.cos(grid.nodes / 2) ** 4
     max_dev = float(np.max(np.abs(grid.density - expected)))
 

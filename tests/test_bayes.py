@@ -1,6 +1,7 @@
 """Posterior construction, most-probable value, and confidence-interval search."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qmetro.bayes import (
     most_probable,
     posterior_from_log_profiles,
 )
-from qmetro.ensemble import grid_tables
+from qmetro.ensemble import grid_tables, sufficient_records
 from qmetro.quantum import NOISELESS, NoiseModel, measurement_probabilities
 
 from oracles import (
@@ -35,8 +36,8 @@ def probe_profile(alpha, noise=NOISELESS):
 
 def posterior(alpha, counts, domain=(0.0, HALF_PI), grid_size=DEFAULT_GRID_SIZE):
     """Noiseless-probe posterior through the table builder the sweep uses."""
-    nodes, log_profiles = grid_tables(alpha, NOISELESS, domain, grid_size)
-    return posterior_from_log_profiles(nodes, log_profiles, counts)
+    nodes, log_profiles, merge = grid_tables(alpha, NOISELESS, domain, grid_size)
+    return posterior_from_log_profiles(nodes, log_profiles, sufficient_records(counts, merge))
 
 
 def custom_posterior(profile_at, counts):
@@ -243,14 +244,17 @@ class TestBlocks:
         ids=["separable", "bell", "eta-0.9"],
     )
     def test_rows_match_single_records(self, alpha, noise):
-        nodes, log_profiles = grid_tables(alpha, noise, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
-        records = np.concatenate(
-            (
-                [[0, 0, 0, 0]],
-                # zero counts sit against the -inf log profiles at phi = 0
-                [[0, 0, 7, 0] if alpha == 0.0 else [0, 4, 3, 0]],
-                sampled_records(alpha, noise, (1, 3, 10, 300, 3000), 7, seed=5),
-            )
+        nodes, log_profiles, merge = grid_tables(alpha, noise, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
+        records = sufficient_records(
+            np.concatenate(
+                (
+                    [[0, 0, 0, 0]],
+                    # zero counts sit against the -inf log profiles at phi = 0
+                    [[0, 0, 7, 0] if alpha == 0.0 else [0, 4, 3, 0]],
+                    sampled_records(alpha, noise, (1, 3, 10, 300, 3000), 7, seed=5),
+                )
+            ),
+            merge,
         )
         assert len(records) > BLOCK + 1
         single = [solve(nodes, log_profiles, r) for r in records]
@@ -293,6 +297,14 @@ class TestBlocks:
         with pytest.raises(ValueError, match="counts must be"):
             posterior(0.4, counts)
 
+    @pytest.mark.parametrize("width, counts", [(3, [1, 2, 3, 4]), (4, [1, 2, 3])], ids=["4-of-3", "3-of-4"])
+    def test_record_width_must_match_table(self, width, counts):
+        nodes = np.linspace(0.0, HALF_PI, 16)
+        log_profiles = np.log(np.full((16, width), 1.0 / width))
+        message = f"counts must be {width} nonnegative integers or rows of them, got {counts!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            posterior_from_log_profiles(nodes, log_profiles, counts)
+
     def test_impossible_record_named(self):
         dead = lambda phi: np.array([0.0, 1.0, 0.0, 0.0])
         block = [[0, 3, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0]]
@@ -321,8 +333,8 @@ class TestBlocks:
     )
     def test_block_properties(self, alpha, eta, nus, seed):
         noise = NoiseModel(eta, 5)
-        nodes, log_profiles = grid_tables(alpha, noise, (0.0, HALF_PI), 257)
-        records = sampled_records(alpha, noise, nus, 1, seed)
+        nodes, log_profiles, merge = grid_tables(alpha, noise, (0.0, HALF_PI), 257)
+        records = sufficient_records(sampled_records(alpha, noise, nus, 1, seed), merge)
         grid = posterior_from_log_profiles(nodes, log_profiles, records)
         assert np.allclose(np.trapezoid(grid.density, nodes, axis=1), 1.0, rtol=0.0, atol=1e-9)
         ci = min_confidence_interval(grid, y=0.95, tau=1e-3)

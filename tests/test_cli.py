@@ -179,6 +179,21 @@ class TestPosteriorCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "alpha, eta, swapped",
+        [("0.3", "1", "1,2,7,5"), ("0.3", "0.9", "1,2,7,5"), ("0.5", "1", "5,7,2,1"), ("0.5", "0.9", "5,7,2,1")],
+        ids=["dd-uu", "dd-uu-noisy", "du-ud-bell", "du-ud-bell-noisy"],
+    )
+    def test_equal_outcomes_swap_freely(self, tmp_path, alpha, eta, swapped):
+        # outcomes of equal probability enter only through the sum of their counts
+        outputs = []
+        for i, counts in enumerate(("5,2,7,1", swapped)):
+            out = tmp_path / f"post{i}.csv"
+            argv = ["posterior", "--alpha", alpha, "--eta", eta, "--counts", counts, "--output", str(out), "--plot"]
+            assert main(argv) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_plot_emitted_and_deterministic(self, tmp_path):
         out = tmp_path / "post.csv"
         args = ["posterior", "--counts", "1,2,3,4", "--output", str(out), "--plot"]

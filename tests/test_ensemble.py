@@ -7,22 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmetro.bayes import DEFAULT_GRID_SIZE, min_confidence_interval, posterior_from_log_profiles
 from qmetro.ensemble import (
     DEFAULT_DOMAIN,
     _angle_columns,
+    _distinct_records,
     asymptotic_relative_bound,
     grid_tables,
     relative_uncertainty,
     sample_outcomes,
+    sufficient_records,
     sweep,
     sweep_angles,
     trial_stream,
 )
-from qmetro.quantum import NOISELESS, NoiseModel
+from qmetro.quantum import NOISELESS, NoiseModel, profile_grid
 
 from oracles import sweep_row_loop
 
 HALF_PI = math.pi / 2
+EPS = np.finfo(float).eps
 
 
 class TestSampleOutcomes:
@@ -49,6 +53,99 @@ class TestSampleOutcomes:
         counts = sample_outcomes(np.array([0.1, 0.2, 0.3, 0.4]), 9, 50, trial_stream(4, 0))
         assert counts.shape == (50, 4) and np.issubdtype(counts.dtype, np.integer)
         assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == 9)
+
+
+def outcome_classes(alpha, noise, grid_size=DEFAULT_GRID_SIZE):
+    """The outcomes (0=dd, 1=du, 2=ud, 3=uu) of each class of the table's merge map."""
+    merge = grid_tables(alpha, noise, DEFAULT_DOMAIN, grid_size)[2]
+    return [np.flatnonzero(column).tolist() for column in merge.T]
+
+
+class TestSufficientRecords:
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0), eta=st.floats(0.0, 1.0), n_steps=st.integers(1, 5))
+    def test_symmetric_outcomes_merge(self, alpha, eta, n_steps):
+        noise = NoiseModel(eta, n_steps)
+        assert any({0, 3} <= set(cls) for cls in outcome_classes(alpha, noise))
+        assert [1, 2] in outcome_classes(0.5, noise)
+        for near_bell in (0.5 - 1e-6, 0.5 + 1e-6):
+            assert not any({1, 2} <= set(cls) for cls in outcome_classes(near_bell, noise))
+
+    @pytest.mark.parametrize(
+        "alpha, eta, classes",
+        [
+            (0.5, 1.0, [[0, 3], [1, 2]]),
+            (0.5, 0.3, [[0, 3], [1, 2]]),
+            (0.3, 1.0, [[0, 3], [1], [2]]),
+            (0.0, 0.9, [[0, 3], [1], [2]]),
+        ],
+    )
+    def test_table_columns(self, alpha, eta, classes):
+        noise = NoiseModel(eta, 5)
+        nodes, log_profiles, merge = grid_tables(alpha, noise, DEFAULT_DOMAIN, 256)
+        assert outcome_classes(alpha, noise, 256) == classes
+        assert merge.shape == (4, len(classes)) and np.all(merge.sum(axis=1) == 1)
+        # each class's column is the log probability of its first outcome
+        with np.errstate(divide="ignore"):
+            full = np.log(profile_grid(alpha, nodes, noise))
+        assert np.array_equal(log_profiles, full[:, [cls[0] for cls in classes]])
+        assert sufficient_records([[5, 2, 7, 1]], merge).tolist() == [
+            [sum((5, 2, 7, 1)[i] for i in cls) for cls in classes]
+        ]
+
+    def test_asymmetric_profile_merges_nothing(self, monkeypatch):
+        # a probe or channel without the symmetry gets one column per outcome
+        def tilted(alpha, phis, noise):
+            return profile_grid(alpha, phis, noise) * (1 + 1e-9 * np.arange(4))
+
+        monkeypatch.setattr("qmetro.ensemble.profile_grid", tilted)
+        grid_tables.cache_clear()
+        try:
+            assert outcome_classes(0.5, NOISELESS, 64) == [[0], [1], [2], [3]]
+            args = dict(n_phi=2, n_e=20, seed=3, domain=DEFAULT_DOMAIN, grid_size=64, y=0.95, tau=1e-3)
+            assert sweep([0.5], NOISELESS, [6], **args)[0.5, 6] == sweep_row_loop(0.5, NOISELESS, 6, **args)
+        finally:
+            grid_tables.cache_clear()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_distinct_records_any_width(self, width):
+        rng = np.random.default_rng(width)
+        counts = rng.multinomial(6, np.full(width, 1.0 / width), size=200)
+        records, inverse = _distinct_records(counts)
+        expected, expected_inverse = np.unique(counts, axis=0, return_inverse=True)
+        assert np.array_equal(records, expected)
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        eta=st.sampled_from([1.0, 0.9, 0.3]),
+        n_steps=st.integers(1, 5),
+        nus=st.lists(st.integers(0, 3000), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unmerged_table(self, alpha, eta, n_steps, nus, seed):
+        # against every outcome's own column, as sweepbench/oracle.py builds the table
+        noise = NoiseModel(eta, n_steps)
+        nodes = np.linspace(*DEFAULT_DOMAIN, DEFAULT_GRID_SIZE)
+        with np.errstate(divide="ignore"):
+            full = np.log(profile_grid(alpha, nodes, noise))
+        _, log_profiles, merge = grid_tables(alpha, noise, DEFAULT_DOMAIN, DEFAULT_GRID_SIZE)
+        rng = np.random.default_rng(seed)
+        records = np.array([rng.multinomial(nu, rng.dirichlet(np.ones(4))) for nu in nus])
+        ref = posterior_from_log_profiles(nodes, full, records)
+        got = posterior_from_log_profiles(nodes, log_profiles, sufficient_records(records, merge))
+        # a log likelihood sums nu terms, each rounded at EPS; relative to the peak
+        tol = np.maximum(1e-12, 8 * EPS * np.array(nus)) * ref.density.max(axis=1)
+        assert np.all(np.abs(got.density - ref.density).max(axis=1) <= tol)
+        ref_ci, got_ci = min_confidence_interval(ref), min_confidence_interval(got)
+        np.testing.assert_allclose(got_ci.length, ref_ci.length, rtol=1e-12, atol=0.0)
+        # the most probable node moves only between nodes the unmerged density ties
+        rows = np.arange(len(records))
+        ref_mp, got_mp = np.argmax(ref.density, axis=1), np.argmax(got.density, axis=1)
+        moved = ref_mp != got_mp
+        assert np.all(np.abs(ref_mp - got_mp)[moved] == 1)
+        assert np.all((np.abs(ref.density[rows, ref_mp] - ref.density[rows, got_mp]) <= tol)[moved])
 
 
 class TestRunTrial:
