@@ -17,8 +17,20 @@ record of a 4-count record is its counts summed per class. dd and uu always
 share a class: SWAP.(iY x iY) commutes with R(phi) x R(phi) and with equal
 dephasing on both qubits, maps the probe to minus itself and |dd> to |uu>.
 For the Bell probe (alpha = 1/2) SWAP alone fixes the probe, so du and ud
-share one too, and a record reduces to one binomial count. The rule reads
-the table only: a probe or channel without the symmetry merges nothing.
+share one too, and a record reduces to one binomial count.
+
+A product probe's outcomes are pairs of independent qubit outcomes, each
+outcome's probability the product of its qubits' marginals. grid_tables
+first classes the four marginal columns (q1=d, q1=u, q2=d, q2=u) instead of
+the outcome columns, and keeps that table if it scores every outcome's
+probability within PROFILE_MATCH; each outcome then counts once for each of
+its two qubits, so a record of nu outcomes becomes one of 2 nu qubit
+outcomes. For the separable probes (alpha = 0 and 1) both qubits flip from
+their start state with the same probability, so the classes are "flipped"
+and "unflipped" and a record reduces to one binomial count out of 2 nu.
+Entangled probes do not factor.
+Both rules read the table only: a probe or channel without the symmetry or
+the product form merges nothing.
 
 An estimate depends only on the sufficient record, not on the true angle or
 the trial, so each cell solves the posterior once per distinct sufficient
@@ -39,8 +51,8 @@ trials; mean_mu_l_ci averages the interval column over the angles.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -63,9 +75,15 @@ DEFAULT_DOMAIN = (0.0, math.pi / 2)
 # the separable probe, which relative uncertainties are measured against
 BASELINE_ALPHA = 0.0
 MAX_SEED = 2**64 - 1
-# outcomes whose probabilities differ by at most this at every grid node share
-# a class; the symmetric pairs differ by rounding only (<= 3.3e-16 measured)
+# columns whose probabilities differ by at most this at every grid node share
+# a class, and a merged qubit table is kept if it scores every outcome within
+# this; the symmetric pairs differ by rounding only (<= 3.3e-16 measured), and
+# so do the separable probes' outcomes and the products of their marginals
+# (<= 1.9e-15)
 PROFILE_MATCH = 1e-14
+# the (4, 4) 0/1 map from outcomes (dd, du, ud, uu) to the qubit outcomes
+# (q1=d, q1=u, q2=d, q2=u) they hold
+QUBIT_MAP = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -105,15 +123,46 @@ def sample_outcomes(
     return stream.multinomial(nu, p / p.sum(), size=n_draws)
 
 
+def _merged_table(profiles: np.ndarray, to_columns: np.ndarray, columns: np.ndarray):
+    """The (G, K) log columns and (4, K) merge map that merge the given
+    columns, which are profiles @ to_columns, into classes of columns equal
+    within PROFILE_MATCH at every node, ordered by their first column.
+
+    A class's log column is half the log probability of an outcome the map
+    sends twice into it, if there is one, else the log of its first column.
+    At nu ~ 3000 the halved outcome column keeps the likelihood within a
+    third of its rounding bound of the unmerged table's; the log of a summed
+    marginal strayed past that bound.
+    """
+    gap = np.abs(columns[:, :, None] - columns[:, None, :]).max(axis=0)
+    firsts: list[int] = []  # the first column of each class
+    classes = np.zeros((4, 4), dtype=np.int64)
+    for column in range(4):
+        matches = [c for c, first in enumerate(firsts) if gap[column, first] <= PROFILE_MATCH]
+        if not matches:
+            firsts.append(column)
+        classes[column, matches[0] if matches else len(firsts) - 1] = 1
+    merge = to_columns @ classes[:, : len(firsts)]
+    with np.errstate(divide="ignore"):
+        log_profiles = np.log(columns[:, firsts])
+        for c, twice in enumerate((merge == 2).T):
+            if twice.any():
+                log_profiles[:, c] = 0.5 * np.log(profiles[:, np.argmax(twice)])
+    return log_profiles, merge
+
+
 @lru_cache(maxsize=64)
 def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], grid_size: int):
     """Posterior grid nodes over domain = (lo, hi), the log probabilities of
-    each class of equal outcomes, shape (grid_size, K), and the (4, K) 0/1
-    merge map that sends a 4-count record to its sufficient record.
+    each class, shape (grid_size, K), and the (4, K) merge map that sends a
+    4-count record to its sufficient record.
 
-    Outcomes whose probabilities agree within PROFILE_MATCH at every node
-    form one class, whose column is the log probability of its first
-    outcome; the classes are ordered by their first outcome.
+    The four qubit marginal columns (q1=d, q1=u, q2=d, q2=u) are merged
+    first, with map QUBIT_MAP @ classes, whose entries 0, 1 and 2 make a
+    record of nu outcomes one of 2 nu qubit outcomes. That table is kept if
+    it scores every outcome's probability within PROFILE_MATCH at every
+    node, which needs a product probe. Otherwise the four outcome columns
+    are merged, with a 0/1 map.
 
     The one builder of posterior grids, for sweeps and single posteriors
     alike. Cached so the quantum channel is evaluated once per grid node per
@@ -126,17 +175,12 @@ def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], gr
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     nodes = np.linspace(lo, hi, grid_size)
     profiles = profile_grid(alpha, nodes, noise)
-    gap = np.abs(profiles[:, :, None] - profiles[:, None, :]).max(axis=0)
-    firsts: list[int] = []  # the first outcome of each class
-    merge = np.zeros((4, 4), dtype=np.int64)
-    for outcome in range(4):
-        matches = [c for c, first in enumerate(firsts) if gap[outcome, first] <= PROFILE_MATCH]
-        if not matches:
-            firsts.append(outcome)
-        merge[outcome, matches[0] if matches else len(firsts) - 1] = 1
-    merge = merge[:, : len(firsts)]
-    with np.errstate(divide="ignore"):
-        log_profiles = np.log(profiles[:, firsts])
+    log_profiles, merge = _merged_table(profiles, QUBIT_MAP, profiles @ QUBIT_MAP)
+    # each outcome's log probability as the table scores it: its map row
+    # times the log columns, skipping the columns (maybe log 0) it does not reach
+    scored = (merge * np.where(merge > 0, log_profiles[:, None, :], 0.0)).sum(axis=2)
+    if np.abs(np.exp(scored) - profiles).max() > PROFILE_MATCH:
+        log_profiles, merge = _merged_table(profiles, np.eye(4, dtype=np.int64), profiles)
     # the cache hands these same arrays to every caller
     for table in (nodes, log_profiles, merge):
         table.setflags(write=False)
@@ -144,8 +188,10 @@ def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], gr
 
 
 def sufficient_records(counts, merge: np.ndarray) -> np.ndarray:
-    """One 4-count record, or rows of them, summed over each class of a
-    grid_tables merge map: the counts a posterior on that table takes."""
+    """One 4-count record, or rows of them, sent through a grid_tables merge
+    map: each outcome's count added to its classes as often as the map says.
+    The counts a posterior on that table takes; they total nu, or 2 nu for
+    a product table."""
     return check_counts(counts, len(merge)) @ merge
 
 
@@ -167,11 +213,12 @@ def sweep_angles(domain: tuple[float, float], n_phi: int) -> np.ndarray:
 
 
 def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (n, K) array of records of nu outcomes each, in
-    lexicographic order, and the index of each row among them. A record is
-    fixed by its first K - 1 counts, so only those are compared (the one count
-    when K is 1); a lexsort needs no bound on nu, unlike a packed integer key,
-    and is ~7x faster than np.unique(axis=0)."""
+    """Distinct rows of an (n, K) array of records of one fixed total each
+    (nu, or 2 nu after a product table's map), in lexicographic order, and
+    the index of each row among them. A record is fixed by its first K - 1
+    counts, so only those are compared (the one count when K is 1); a
+    lexsort needs no bound on the total, unlike a packed integer key, and is
+    ~7x faster than np.unique(axis=0)."""
     keys = counts[:, : max(counts.shape[1] - 1, 1)]
     order = np.lexsort(keys[:, ::-1].T)
     ranked = keys[order]
@@ -257,7 +304,7 @@ def sweep(
     ]
     workers = min(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, tasks))
     else:
         rows = [_run_cell(t) for t in tasks]

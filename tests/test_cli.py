@@ -180,16 +180,35 @@ class TestPosteriorCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "alpha, eta, swapped",
-        [("0.3", "1", "1,2,7,5"), ("0.3", "0.9", "1,2,7,5"), ("0.5", "1", "5,7,2,1"), ("0.5", "0.9", "5,7,2,1")],
-        ids=["dd-uu", "dd-uu-noisy", "du-ud-bell", "du-ud-bell-noisy"],
+        "alpha, eta, counts, swapped",
+        [
+            ("0.3", "1", "5,2,7,1", "1,2,7,5"),
+            ("0.3", "0.9", "5,2,7,1", "1,2,7,5"),
+            ("0.5", "1", "5,2,7,1", "5,7,2,1"),
+            ("0.5", "0.9", "5,2,7,1", "5,7,2,1"),
+            ("0", "1", "1,0,0,1", "0,1,1,0"),
+            ("0", "0.9", "1,0,0,1", "0,1,1,0"),
+            ("1", "1", "1,0,0,1", "0,1,1,0"),
+            ("1", "0.9", "1,0,0,1", "0,1,1,0"),
+            ("0", "1", "300,100,200,400", "400,150,250,200"),
+            ("1", "0.9", "300,100,200,400", "400,150,250,200"),
+        ],
+        ids=[
+            "dd-uu", "dd-uu-noisy", "du-ud-bell", "du-ud-bell-noisy",
+            "product-0", "product-0-noisy", "product-1", "product-1-noisy",
+            "product-0-large", "product-1-large-noisy",
+        ],
     )
-    def test_equal_outcomes_swap_freely(self, tmp_path, alpha, eta, swapped):
-        # outcomes of equal probability enter only through the sum of their counts
+    def test_equal_outcomes_swap_freely(self, tmp_path, alpha, eta, counts, swapped):
+        # outcomes of equal probability enter only through the sum of their
+        # counts; a product probe's outcomes only through its qubits' counts
+        # (dd + uu and du + ud both hold one flipped and one unflipped qubit).
+        # At large counts the likelihoods of the two records are equal only
+        # if the table scores them through the same qubit counts.
         outputs = []
-        for i, counts in enumerate(("5,2,7,1", swapped)):
+        for i, record in enumerate((counts, swapped)):
             out = tmp_path / f"post{i}.csv"
-            argv = ["posterior", "--alpha", alpha, "--eta", eta, "--counts", counts, "--output", str(out), "--plot"]
+            argv = ["posterior", "--alpha", alpha, "--eta", eta, "--counts", record, "--output", str(out), "--plot"]
             assert main(argv) == 0
             outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
         assert outputs[0] == outputs[1]
@@ -276,6 +295,13 @@ class TestSweepCommand:
         assert main(args) == 2
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_import_loads_no_process_pool(self):
+        # a serial run never starts a pool, so the CLI imports it only where one starts
+        env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+        code = "import sys, qmetro.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 # (key, invalid value, text naming it on stderr): out of range, non-finite,

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro.bayes import DEFAULT_GRID_SIZE, min_confidence_interval, posterior_from_log_profiles
 from qmetro.ensemble import (
     DEFAULT_DOMAIN,
+    PROFILE_MATCH,
     _angle_columns,
     _distinct_records,
     asymptotic_relative_bound,
@@ -27,6 +28,8 @@ from oracles import sweep_row_loop
 
 HALF_PI = math.pi / 2
 EPS = np.finfo(float).eps
+# a product probe's map: (dd, du, ud, uu) to its counts of flipped and unflipped qubits
+BINOMIAL_MAP = [[1, 1], [2, 0], [0, 2], [1, 1]]
 
 
 class TestSampleOutcomes:
@@ -77,7 +80,6 @@ class TestSufficientRecords:
             (0.5, 1.0, [[0, 3], [1, 2]]),
             (0.5, 0.3, [[0, 3], [1, 2]]),
             (0.3, 1.0, [[0, 3], [1], [2]]),
-            (0.0, 0.9, [[0, 3], [1], [2]]),
         ],
     )
     def test_table_columns(self, alpha, eta, classes):
@@ -92,6 +94,43 @@ class TestSufficientRecords:
         assert sufficient_records([[5, 2, 7, 1]], merge).tolist() == [
             [sum((5, 2, 7, 1)[i] for i in cls) for cls in classes]
         ]
+
+    @pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (0.0, 0.9), (1.0, 1.0), (1.0, 0.9)])
+    def test_product_table_columns(self, alpha, eta):
+        # a product probe's outcomes are two qubit outcomes each: q1=d and
+        # q2=u share one class, q1=u and q2=d the other
+        noise = NoiseModel(eta, 5)
+        nodes, log_profiles, merge = grid_tables(alpha, noise, DEFAULT_DOMAIN, 256)
+        assert merge.tolist() == BINOMIAL_MAP
+        # each class's column is half the log probability of the outcome
+        # whose two qubits both fall in it: du for the first, ud for the second
+        with np.errstate(divide="ignore"):
+            half = 0.5 * np.log(profile_grid(alpha, nodes, noise))
+        assert np.array_equal(log_profiles, half[:, [1, 2]])
+        assert sufficient_records([[5, 2, 7, 1]], merge).tolist() == [[10, 20]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        entangled=st.floats(1e-6, 1 - 1e-6),
+        eta=st.floats(0.0, 1.0),
+        n_steps=st.integers(1, 5),
+    )
+    # within PROFILE_MATCH of a product at every node, but its halved du
+    # column would score dd at 1.5e-8 where dd has probability 0
+    @example(alpha=2.220446049250313e-16, entangled=0.5, eta=0.0, n_steps=1)
+    def test_table_reproduces_profiles(self, alpha, entangled, eta, n_steps):
+        noise = NoiseModel(eta, n_steps)
+        nodes, log_profiles, merge = grid_tables(alpha, noise, DEFAULT_DOMAIN, 256)
+        # each outcome's log probability is its map row times the log columns;
+        # a column the row does not use (zero weight) may be log(0)
+        weighted = merge[None] * np.where(merge[None] > 0, log_profiles[:, None, :], 0.0)
+        probabilities = np.exp(weighted.sum(axis=2))
+        assert np.abs(probabilities - profile_grid(alpha, nodes, noise)).max() <= PROFILE_MATCH
+        for separable in (0.0, 1.0):
+            assert grid_tables(separable, noise, DEFAULT_DOMAIN, 256)[2].tolist() == BINOMIAL_MAP
+        # an entangled probe does not factor: each outcome lands in one class once
+        assert np.all(grid_tables(entangled, noise, DEFAULT_DOMAIN, 256)[2].sum(axis=1) == 1)
 
     def test_asymmetric_profile_merges_nothing(self, monkeypatch):
         # a probe or channel without the symmetry gets one column per outcome
@@ -124,6 +163,10 @@ class TestSufficientRecords:
         nus=st.lists(st.integers(0, 3000), min_size=1, max_size=40),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the product tables at their largest records, where the half-log columns
+    # round furthest from the unmerged table
+    @example(alpha=0.0, eta=0.9, n_steps=5, nus=[3000, 2990, 2950, 2900], seed=0)
+    @example(alpha=1.0, eta=0.9, n_steps=5, nus=[3000, 2990, 2950, 2900], seed=0)
     def test_matches_unmerged_table(self, alpha, eta, n_steps, nus, seed):
         # against every outcome's own column, as sweepbench/oracle.py builds the table
         noise = NoiseModel(eta, n_steps)
@@ -303,7 +346,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("qmetro.ensemble.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         rows = sweep([0.5], NOISELESS, nus, n_phi=1, n_e=2, seed=1, grid_size=16, workers=workers)
         assert sizes == pools and list(rows) == [(0.5, nu) for nu in nus]
 
