@@ -25,12 +25,6 @@ def _load_config(ns: argparse.Namespace, *keys: str) -> ExperimentConfig:
     return parse_config(text, {key: getattr(ns, key) for key in keys})
 
 
-def _sweep_args(cfg: ExperimentConfig, noise: quantum.NoiseModel) -> tuple:
-    """The settings of ensemble.sweep and check_sweep, in their order, from a config."""
-    return (cfg.alphas, noise, cfg.nus, cfg.resolved_n_phi, cfg.resolved_n_e,
-            cfg.seed, cfg.domain, cfg.grid_size, cfg.y, cfg.tau)
-
-
 def _parse_counts(raw: str) -> list[int]:
     try:
         return [int(p) for p in raw.split(",")]
@@ -40,8 +34,7 @@ def _parse_counts(raw: str) -> list[int]:
 
 def cmd_probs(ns: argparse.Namespace) -> int:
     cfg = _load_config(ns, "eta", "n_steps")
-    noise = quantum.NoiseModel(cfg.eta, cfg.n_steps)
-    probs = quantum.measurement_probabilities(ns.alpha, ns.phi, noise)
+    probs = quantum.measurement_probabilities(ns.alpha, ns.phi, cfg.noise)
     print(", ".join(report.format_number(p) for p in probs))
     return EXIT_OK
 
@@ -49,10 +42,9 @@ def cmd_probs(ns: argparse.Namespace) -> int:
 def cmd_posterior(ns: argparse.Namespace) -> int:
     cfg = _load_config(ns, "eta", "n_steps", "grid_size", "domain")
     counts = _parse_counts(ns.counts)
-    noise = quantum.NoiseModel(cfg.eta, cfg.n_steps)
     # a config file means the same to both commands: it must be valid for a sweep
-    ensemble.check_sweep(*_sweep_args(cfg, noise))
-    nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, noise, cfg.domain, cfg.grid_size)
+    ensemble.check_sweep(cfg)
+    nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, cfg.noise, cfg.domain, cfg.grid_size)
     grid = bayes.posterior_from_log_profiles(nodes, log_profiles, ensemble.sufficient_records(counts, merge))
 
     out = Path(ns.output)
@@ -75,8 +67,7 @@ def cmd_posterior(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _load_config(ns, "seed", "output")
-    noise = quantum.NoiseModel(cfg.eta, cfg.n_steps)
-    result = ensemble.sweep(*_sweep_args(cfg, noise), workers=ns.workers)
+    result = ensemble.sweep(cfg, workers=ns.workers)
     baseline = ensemble.BASELINE_ALPHA
     if baseline in cfg.alphas:
         result = ensemble.relative_uncertainty(result)

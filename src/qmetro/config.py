@@ -10,20 +10,29 @@ import math
 from dataclasses import dataclass
 
 from .bayes import DEFAULT_GRID_SIZE, DEFAULT_TAU, DEFAULT_Y
-from .ensemble import DEFAULT_DOMAIN
+from .quantum import NoiseModel
+
+DEFAULT_DOMAIN = (0.0, math.pi / 2)
 
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration entry."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of an experiment, one field per config key: the one record
+    a sweep and each of its cells read their settings from.
+
+    n_e and n_phi left as None resolve by eta when the record is built: 1000
+    trials at 20 angles without dephasing (eta = 1), else 500 at 10.
+    """
+
     alphas: tuple[float, ...] = (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5)
     eta: float = 1.0
     n_steps: int = 5
     nus: tuple[int, ...] = tuple(range(1, 11))
-    n_e: int | None = None  # defaults depend on eta, see resolved_n_e
+    n_e: int | None = None
     n_phi: int | None = None
     grid_size: int = DEFAULT_GRID_SIZE
     y: float = DEFAULT_Y
@@ -32,17 +41,17 @@ class ExperimentConfig:
     seed: int = 0
     output: str = "results.csv"
 
-    @property
-    def resolved_n_e(self) -> int:
-        if self.n_e is not None:
-            return self.n_e
-        return 1000 if self.eta == 1.0 else 500
+    def __post_init__(self):
+        noiseless = self.eta == 1.0
+        if self.n_e is None:
+            object.__setattr__(self, "n_e", 1000 if noiseless else 500)
+        if self.n_phi is None:
+            object.__setattr__(self, "n_phi", 20 if noiseless else 10)
 
     @property
-    def resolved_n_phi(self) -> int:
-        if self.n_phi is not None:
-            return self.n_phi
-        return 20 if self.eta == 1.0 else 10
+    def noise(self) -> NoiseModel:
+        """The dephasing channel; NoiseModel checks eta and n_steps."""
+        return NoiseModel(self.eta, self.n_steps)
 
 
 def _float(raw: str) -> float:
@@ -113,10 +122,10 @@ def parse_config(source: str, flags: dict[str, str | None] | None = None) -> Exp
     Unknown keys and malformed values raise ConfigError naming the offending
     key and line, or the flag (--n-steps for n_steps).
     """
-    cfg = ExperimentConfig()
+    values = {}
     for key, raw, where in _entries(source, flags or {}):
         try:
-            setattr(cfg, key, PARSERS[key](raw))
+            values[key] = PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    return cfg
+    return ExperimentConfig(**values)

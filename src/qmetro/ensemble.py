@@ -34,19 +34,18 @@ the product form merges nothing.
 
 An estimate depends only on the sufficient record, not on the true angle or
 the trial, so each cell solves the posterior once per distinct sufficient
-record among all of its draws. The draws themselves are 4-count records, so
-merging leaves the seed contract and the sampled records as they are, and
-sweep CSV rows match the unmerged solver's byte for byte except at exact MAP
-ties, where rounding picks the node (seen once on the benchmark workloads:
-alpha = 1/2, nu = 1000, phi = pi/4, seed 1, a record with k_dd + k_uu = nu/2
-whose posterior is symmetric about pi/4). The distinct records are solved in
-blocks of rows, one posterior, most-probable and shortest-interval call per
-block; each record's estimate is bit-identical to that record solved alone.
+record among all of its draws. The draws themselves are 4-count records,
+merged only after sampling, so the seed contract does not depend on the
+table. The distinct records are solved in blocks of rows, one posterior,
+most-probable and shortest-interval call per block; each record's estimate
+is bit-identical to that record solved alone.
 
-A sweep returns one SweepRow per cell, keyed by (alpha, nu) in sweep order.
-Its per-angle columns hold each true angle's mean and standard deviation of
-the most probable value and of the shortest-interval length over the n_e
-trials; mean_mu_l_ci averages the interval column over the angles.
+A sweep reads every setting from one ExperimentConfig, which each cell
+receives whole with its own alpha and nu. It returns one SweepRow per cell,
+keyed by (alpha, nu) in sweep order. Its per-angle columns hold each true
+angle's mean and standard deviation of the most probable value and of the
+shortest-interval length over the n_e trials; mean_mu_l_ci averages the
+interval column over the angles.
 """
 
 from __future__ import annotations
@@ -55,26 +54,25 @@ import concurrent.futures
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .bayes import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_TAU,
-    DEFAULT_Y,
     check_counts,
     check_interval_target,
     min_confidence_interval,
     most_probable,
     posterior_from_log_profiles,
 )
+from .config import ExperimentConfig
 from .quantum import NoiseModel, measurement_probabilities, profile_grid
 
-DEFAULT_DOMAIN = (0.0, math.pi / 2)
 # the separable probe, which relative uncertainties are measured against
 BASELINE_ALPHA = 0.0
 MAX_SEED = 2**64 - 1
+# the largest total of a count record: a product table's map doubles it, and
+# twice this still fits int64
+MAX_COUNT = 2**62 - 1
 # columns whose probabilities differ by at most this at every grid node share
 # a class, and a merged qubit table is kept if it scores every outcome within
 # this; the symmetric pairs differ by rounding only (<= 3.3e-16 measured), and
@@ -169,8 +167,9 @@ def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], gr
     configuration and shared across all trials.
     """
     lo, hi = domain
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"domain must be finite with lo < hi, got {domain}")
+    # a finite width hi - lo also needs lo and hi finite
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"domain must have a finite width hi - lo and lo < hi, got {domain}")
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     nodes = np.linspace(lo, hi, grid_size)
@@ -191,14 +190,15 @@ def sufficient_records(counts, merge: np.ndarray) -> np.ndarray:
     """One 4-count record, or rows of them, sent through a grid_tables merge
     map: each outcome's count added to its classes as often as the map says.
     The counts a posterior on that table takes; they total nu, or 2 nu for
-    a product table."""
-    return check_counts(counts, len(merge)) @ merge
-
-
-def _estimate_from_counts(nodes, log_profiles, counts, y, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Most probable angles and shortest-interval lengths for a block of count records."""
-    grid = posterior_from_log_profiles(nodes, log_profiles, counts)
-    return most_probable(grid), min_confidence_interval(grid, y, tau).length
+    a product table. A record may total at most MAX_COUNT."""
+    k = check_counts(counts, len(merge))
+    # the largest count bounds every total without summing; only when that
+    # bound is too loose are the totals summed, in Python ints, which do not wrap
+    if int(k.max()) * len(merge) > MAX_COUNT:
+        for row in k.reshape(-1, len(merge)).tolist():
+            if sum(row) > MAX_COUNT:
+                raise ValueError(f"counts must total at most {MAX_COUNT}, got {row}")
+    return k @ merge
 
 
 def _angle_columns(values: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -207,9 +207,9 @@ def _angle_columns(values: np.ndarray) -> tuple[tuple[float, ...], tuple[float, 
     return tuple(values.mean(axis=1).tolist()), tuple(values.std(axis=1, ddof=1).tolist())
 
 
-def sweep_angles(domain: tuple[float, float], n_phi: int) -> np.ndarray:
-    """True angles evenly spaced over the domain, lower endpoint in, upper out."""
-    return np.linspace(domain[0], domain[1], n_phi, endpoint=False)
+def sweep_angles(cfg: ExperimentConfig) -> np.ndarray:
+    """The n_phi true angles, evenly spaced over the domain, lower endpoint in, upper out."""
+    return np.linspace(cfg.domain[0], cfg.domain[1], cfg.n_phi, endpoint=False)
 
 
 def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,24 +229,28 @@ def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts[order[new]], inverse
 
 
-def _run_cell(args) -> SweepRow:
-    (alpha, noise, nu, phis, n_e, seed, domain, grid_size, y, tau) = args
-    nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
-    stream = trial_stream(seed, _alpha_key(alpha), nu)
+def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
+    cfg, alpha, nu = task
+    noise = cfg.noise
+    nodes, log_profiles, merge = grid_tables(alpha, noise, cfg.domain, cfg.grid_size)
+    stream = trial_stream(cfg.seed, _alpha_key(alpha), nu)
+    phis = sweep_angles(cfg)
     counts = np.stack(
-        [sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, n_e, stream) for phi in phis]
+        [sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, cfg.n_e, stream) for phi in phis]
     )
     # identical sufficient records yield identical estimates, at any angle:
     # solve each distinct one of the cell once
     records, inverse = _distinct_records(sufficient_records(counts.reshape(-1, 4), merge))
     # solve them in blocks of 32768 grid values (32 rows of a 1024-node
     # grid): a block's density and cumulative tables take 512 KiB
-    block = max(1, 32768 // grid_size)
+    block = max(1, 32768 // cfg.grid_size)
     estimates = np.empty((2, len(records)))
     for start in range(0, len(records), block):
         rows = slice(start, start + block)
-        estimates[:, rows] = _estimate_from_counts(nodes, log_profiles, records[rows], y, tau)
-    phi_mp, l_ci = estimates[:, inverse].reshape(2, len(phis), n_e)
+        grid = posterior_from_log_profiles(nodes, log_profiles, records[rows])
+        estimates[:, rows] = most_probable(grid), min_confidence_interval(grid, cfg.y, cfg.tau).length
+        del grid  # free this block's tables before the next block's are built
+    phi_mp, l_ci = estimates[:, inverse].reshape(2, len(phis), cfg.n_e)
     # reduce each 2-D array on its own: a reduction over the stacked 3-D
     # array sums in another order and changes the last bits
     mu_phi_mp, sigma_phi_mp = _angle_columns(phi_mp)
@@ -257,51 +261,34 @@ def _run_cell(args) -> SweepRow:
     )
 
 
-def check_sweep(alphas, noise, nus, n_phi, n_e, seed, domain, grid_size, y, tau) -> None:
+def check_sweep(cfg: ExperimentConfig) -> None:
     """Reject any out-of-range sweep setting. Builds each alpha's grid table, which
     checks alpha, domain and grid size; cells and forked workers share the cache."""
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
-    if n_phi < 1:
-        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
-    if n_e < 2:
-        raise ValueError(f"n_e must be >= 2, got {n_e}")
-    for name, values in (("alphas", alphas), ("nus", nus)):
+    if not 0 <= cfg.seed <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, {MAX_SEED}], got {cfg.seed}")
+    if cfg.n_phi < 1:
+        raise ValueError(f"n_phi must be >= 1, got {cfg.n_phi}")
+    if cfg.n_e < 2:
+        raise ValueError(f"n_e must be >= 2, got {cfg.n_e}")
+    for name, values in (("alphas", cfg.alphas), ("nus", cfg.nus)):
         if len(set(values)) < len(values):
             raise ValueError(f"{name} must be distinct, got {list(values)}")
-    for nu in nus:
-        if nu < 0:
-            raise ValueError(f"nus must be nonnegative, got {nu}")
-    check_interval_target(y, tau)
-    for alpha in alphas:
-        grid_tables(alpha, noise, domain, grid_size)
+    for nu in cfg.nus:
+        if not 0 <= nu <= MAX_COUNT:
+            raise ValueError(f"nus must be in [0, {MAX_COUNT}], got {nu}")
+    check_interval_target(cfg.y, cfg.tau)
+    for alpha in cfg.alphas:
+        grid_tables(alpha, cfg.noise, cfg.domain, cfg.grid_size)
 
 
-def sweep(
-    alphas: Sequence[float],
-    noise: NoiseModel,
-    nus: Sequence[int],
-    n_phi: int,
-    n_e: int,
-    seed: int,
-    domain: tuple[float, float] = DEFAULT_DOMAIN,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    y: float = DEFAULT_Y,
-    tau: float = DEFAULT_TAU,
-    workers: int = 1,
-) -> dict[tuple[float, int], SweepRow]:
+def sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[tuple[float, int], SweepRow]:
     """Run n_e trials at each of n_phi true angles for every (alpha, nu) cell;
     the rows keyed by (alpha, nu), in sweep order. Every setting is checked
     before the first cell runs; no more workers than cells run."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    check_sweep(alphas, noise, nus, n_phi, n_e, seed, domain, grid_size, y, tau)
-    phis = sweep_angles(domain, n_phi)
-    tasks = [
-        (alpha, noise, int(nu), phis, n_e, seed, domain, grid_size, y, tau)
-        for alpha in alphas
-        for nu in nus
-    ]
+    check_sweep(cfg)
+    tasks = [(cfg, alpha, int(nu)) for alpha in cfg.alphas for nu in cfg.nus]
     workers = min(workers, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -49,47 +49,27 @@ def _optional_text(value: float | None) -> str:
     return "" if value is None else format_number(value)
 
 
-def _optional_float(text: str) -> float | None:
-    return float(text) if text else None
-
-
 def _phi_text(phi: float | None) -> str:
     return MEAN_TOKEN if phi is None else format_number(phi)
 
 
-def _phi_float(text: str) -> float | None:
-    return None if text == MEAN_TOKEN else float(text)
-
-
-# (format, parse) of each ResultRow field
-_CODECS = (
-    (format_number, float),
-    (format_number, float),
-    (str, int),
-    (str, int),
-    (_phi_text, _phi_float),
-    (_optional_text, _optional_float),
-    (_optional_text, _optional_float),
-    (format_number, float),
-    (_optional_text, _optional_float),
-    (_optional_text, _optional_float),
+# the formatter of each ResultRow field; ints are written whole, since
+# format_number would write a nu of 10**12 or more in exponent form
+_FORMATTERS = (
+    format_number,
+    format_number,
+    str,
+    str,
+    _phi_text,
+    _optional_text,
+    _optional_text,
+    format_number,
+    _optional_text,
+    _optional_text,
 )
 
 
 def render_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
-    lines += [",".join(fmt(v) for (fmt, _), v in zip(_CODECS, r)) for r in rows]
+    lines += [",".join(fmt(v) for fmt, v in zip(_FORMATTERS, r)) for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> list[ResultRow]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for line in lines[1:]:
-        f = line.split(",")
-        if len(f) != len(_CODECS):
-            raise ValueError(f"malformed CSV row: {line!r}")
-        rows.append(ResultRow(*(parse(x) for (_, parse), x in zip(_CODECS, f))))
-    return rows

@@ -20,6 +20,7 @@ from qmetro.ensemble import (
     trial_stream,
 )
 from qmetro.quantum import _dephase_mask, measurement_probabilities
+from qmetro.report import CSV_HEADER, MEAN_TOKEN, ResultRow
 
 
 def single_qubit_rotation(phi):
@@ -211,19 +212,20 @@ def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
     return mean, var
 
 
-def sweep_row_loop(alpha, noise, nu, n_phi, n_e, seed, domain, grid_size, y, tau):
+def sweep_row_loop(cfg, alpha, nu):
     """One sweep cell's SweepRow rebuilt angle by angle: the cell's draws from
     its own stream, each record's sufficient record solved alone, then np.mean
     and np.std(ddof=1) over each angle's 1-D arrays of estimates."""
-    nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
-    stream = trial_stream(seed, _alpha_key(alpha), nu)
-    phis = sweep_angles(domain, n_phi)
+    noise = cfg.noise
+    nodes, log_profiles, merge = grid_tables(alpha, noise, cfg.domain, cfg.grid_size)
+    stream = trial_stream(cfg.seed, _alpha_key(alpha), nu)
+    phis = sweep_angles(cfg)
     per_angle = []  # (mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci) of each angle
     for phi in phis:
-        records = sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, n_e, stream)
+        records = sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, cfg.n_e, stream)
         grids = [posterior_from_log_profiles(nodes, log_profiles, sufficient_records(k, merge)) for k in records]
         phi_mp = np.array([most_probable(g) for g in grids])
-        l_ci = np.array([min_confidence_interval(g, y, tau).length for g in grids])
+        l_ci = np.array([min_confidence_interval(g, cfg.y, cfg.tau).length for g in grids])
         per_angle.append(
             (
                 float(np.mean(phi_mp)),
@@ -235,3 +237,31 @@ def sweep_row_loop(alpha, noise, nu, n_phi, n_e, seed, domain, grid_size, y, tau
     columns = tuple(zip(*per_angle))
     phis = tuple(float(p) for p in phis)
     return SweepRow(alpha, noise.eta, noise.n_steps, nu, phis, *columns, float(np.mean(columns[2])))
+
+
+def _optional_float(text):
+    return float(text) if text else None
+
+
+def _phi_float(text):
+    return None if text == MEAN_TOKEN else float(text)
+
+
+# the parser of each ResultRow field, the inverse of report's formatters
+CSV_PARSERS = (
+    float, float, int, int, _phi_float, _optional_float, _optional_float, float, _optional_float, _optional_float,
+)
+
+
+def parse_csv(text):
+    """The ResultRows of a sweep CSV, as report.render_csv wrote them."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("unrecognized CSV header")
+    rows = []
+    for line in lines[1:]:
+        f = line.split(",")
+        if len(f) != len(CSV_PARSERS):
+            raise ValueError(f"malformed CSV row: {line!r}")
+        rows.append(ResultRow(*(parse(x) for parse, x in zip(CSV_PARSERS, f))))
+    return rows

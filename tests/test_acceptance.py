@@ -18,7 +18,8 @@ from qmetro.bayes import (
     posterior_from_log_profiles,
 )
 from qmetro.cli import main
-from qmetro.ensemble import DEFAULT_DOMAIN, grid_tables, relative_uncertainty, sufficient_records, sweep
+from qmetro.config import DEFAULT_DOMAIN, ExperimentConfig
+from qmetro.ensemble import grid_tables, relative_uncertainty, sufficient_records, sweep
 from qmetro.quantum import NOISELESS, NoiseModel, noisy_rotation, probe_state, pure_to_density
 
 from oracles import dephasing_kraus, evolve_pure, exact_mean_l_ci, rotation_unitary
@@ -52,24 +53,30 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def noiseless_rel():
-    res = sweep([0.0, 0.5], NoiseModel(1.0, 1), range(1, 11), n_phi=20, n_e=N_E, seed=SEED)
+    res = sweep(
+        ExperimentConfig(alphas=(0.0, 0.5), n_steps=1, nus=tuple(range(1, 11)), n_phi=20, n_e=N_E, seed=SEED)
+    )
     return relative_uncertainty(res)
 
 
 @pytest.fixture(scope="module")
 def noiseless_four():
-    return sweep(ALL_ALPHAS, NoiseModel(1.0, 1), [1, 5, 10], n_phi=20, n_e=N_E, seed=SEED)
+    return sweep(ExperimentConfig(alphas=ALL_ALPHAS, n_steps=1, nus=(1, 5, 10), n_phi=20, n_e=N_E, seed=SEED))
 
 
 @pytest.fixture(scope="module")
 def low_noise_rel():
-    res = sweep(ALL_ALPHAS, NoiseModel(0.9, 5), range(1, 11), n_phi=10, n_e=500, seed=SEED)
+    res = sweep(
+        ExperimentConfig(alphas=ALL_ALPHAS, eta=0.9, n_steps=5, nus=tuple(range(1, 11)), n_phi=10, n_e=500, seed=SEED)
+    )
     return relative_uncertainty(res)
 
 
 @pytest.fixture(scope="module")
 def high_noise_rel():
-    res = sweep(ALL_ALPHAS, NoiseModel(0.5, 5), range(1, 11), n_phi=10, n_e=500, seed=SEED)
+    res = sweep(
+        ExperimentConfig(alphas=ALL_ALPHAS, eta=0.5, n_steps=5, nus=tuple(range(1, 11)), n_phi=10, n_e=500, seed=SEED)
+    )
     return relative_uncertainty(res)
 
 

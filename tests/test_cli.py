@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 import qmetro
 from qmetro.cli import main
 from qmetro.config import PARSERS, ConfigError, ExperimentConfig, parse_config
-from qmetro.report import CSV_HEADER, ResultRow, format_number, parse_csv, render_csv, rows_from_sweep
+from qmetro.report import CSV_HEADER, ResultRow, format_number, render_csv, rows_from_sweep
 from qmetro.ensemble import grid_tables, sweep, relative_uncertainty
-from qmetro.quantum import NOISELESS, NoiseModel
+from qmetro.quantum import NOISELESS
 from qmetro.svgplot import line_plot
+
+from oracles import parse_csv
 
 
 class TestParseConfig:
@@ -27,20 +29,20 @@ class TestParseConfig:
         assert cfg.alphas == (0.0, 1 / 6, 1 / 3, 0.5)
         assert cfg.eta == 1.0
         assert cfg.nus == tuple(range(1, 11))
-        assert cfg.resolved_n_e == 1000 and cfg.resolved_n_phi == 20
+        assert cfg.n_e == 1000 and cfg.n_phi == 20
         assert cfg.grid_size == 1024 and cfg.y == 0.95 and cfg.tau == 1e-3
         assert cfg.domain == (0.0, math.pi / 2)
 
     def test_high_noise_defaults(self):
         cfg = parse_config("eta=0.5\nn_steps=5")
         assert cfg.eta == 0.5 and cfg.n_steps == 5
-        assert cfg.resolved_n_e == 500 and cfg.resolved_n_phi == 10
+        assert cfg.n_e == 500 and cfg.n_phi == 10
 
     def test_eta_range_error(self):
         # the parser takes any finite number; NoiseModel checks the range
         cfg = parse_config("eta=1.5")
         with pytest.raises(ValueError, match=r"eta must be in \[0, 1\], got 1\.5"):
-            NoiseModel(cfg.eta, cfg.n_steps)
+            cfg.noise
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="line 2.*unknown key 'bogus'"):
@@ -67,7 +69,7 @@ class TestParseConfig:
         cfg = parse_config(f"eta=1\n{key}={raw}")
         message = f"{key} must be distinct, got {list(getattr(cfg, key))}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            sweep(cfg.alphas, NOISELESS, cfg.nus, n_phi=1, n_e=2, seed=cfg.seed, grid_size=16)
+            sweep(cfg)
 
     def test_flag_overrides_file_and_is_named(self):
         cfg = parse_config("seed=3\nn_steps=2", {"seed": "7", "n_steps": None})
@@ -155,27 +157,40 @@ class TestPosteriorCommand:
             ("--grid-size", "2", "grid_size must be >= 3, got 2"),
             ("--grid-size", "1", "grid_size must be >= 3, got 1"),
             ("--domain", "0,inf", "--domain: not finite: 'inf'"),
+            ("--domain", "-1e308,1e308", "finite width hi - lo and lo < hi, got (-1e+308, 1e+308)"),
         ],
-        ids=["grid-size-2", "grid-size-1", "domain-inf"],
+        ids=["grid-size-2", "grid-size-1", "domain-inf", "domain-width-inf"],
     )
     def test_bad_grid_rejected(self, tmp_path, flag, value, named):
         # a fresh interpreter, so any numpy warning would reach stderr as a user sees it
         out = tmp_path / "post.csv"
         env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
-        argv = [sys.executable, "-m", "qmetro.cli", "posterior", flag, value, "--output", str(out)]
+        # flag=value, since argparse takes a separate "-1e308,1e308" for a flag
+        argv = [sys.executable, "-m", "qmetro.cli", "posterior", f"{flag}={value}", "--output", str(out)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert proc.returncode == 2
         assert named in proc.stderr and "Warning" not in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "counts, named",
-        [("1,2,3", "[1, 2, 3]"), ("1,-2,3,4", "[1, -2, 3, 4]"), ("1,two,3,4", "'1,two,3,4'")],
-        ids=["three", "negative", "word"],
+        "alpha, counts, named",
+        [
+            ("0.5", "1,2,3", "[1, 2, 3]"),
+            ("0.5", "1,-2,3,4", "[1, -2, 3, 4]"),
+            ("0.5", "1,two,3,4", "'1,two,3,4'"),
+            # a total of 2**62 or more: a product map would double it past int64
+            ("0", "0,4611686018427387904,0,0", "[0, 4611686018427387904, 0, 0]"),
+            (
+                "0.5",
+                "5000000000000000000,0,0,5000000000000000000",
+                "[5000000000000000000, 0, 0, 5000000000000000000]",
+            ),
+        ],
+        ids=["three", "negative", "word", "product-total", "total"],
     )
-    def test_bad_counts_rejected(self, tmp_path, capsys, counts, named):
+    def test_bad_counts_rejected(self, tmp_path, capsys, alpha, counts, named):
         out = tmp_path / "post.csv"
-        assert main(["posterior", f"--counts={counts}", "--output", str(out)]) == 2
+        assert main(["posterior", "--alpha", alpha, f"--counts={counts}", "--output", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
 
@@ -296,6 +311,13 @@ class TestSweepCommand:
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_largest_nu_runs(self, tmp_path, config_path):
+        # twice the largest total fits int64, so a product table takes it
+        config_path.write_text(SMALL_CONFIG + f"nus={2**62 - 1}\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config_path), "--output", str(out)]) == 0
+        assert f",{2**62 - 1},mean," in out.read_text()
+
     def test_import_loads_no_process_pool(self):
         # a serial run never starts a pool, so the CLI imports it only where one starts
         env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
@@ -319,6 +341,8 @@ INVALID_SETTINGS = [
     ("nus", "1,-4", "-4"),
     ("nus", "8,1,8", "8"),
     ("nus", "1,x", "'x'"),
+    ("nus", "1,10000000000000000000", "10000000000000000000"),
+    ("nus", "4611686018427387904", "4611686018427387904"),
     ("n_e", "-5", "-5"),
     ("n_e", "many", "'many'"),
     ("n_phi", "-2", "-2"),
@@ -331,6 +355,7 @@ INVALID_SETTINGS = [
     ("domain", "2.5,1.5", "2.5"),
     ("domain", "0.5", "0.5"),
     ("domain", "0,inf", "inf"),
+    ("domain", "-1e308,1e308", "(-1e+308, 1e+308)"),
     ("seed", "-1", "-1"),
     ("seed", str(2**64), str(2**64)),
     ("seed", "x", "'x'"),
@@ -375,9 +400,38 @@ def test_invalid_setting_rejected(tmp_path, capsys, source, key, raw, named):
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
 
 
+# another valid value of each sweep key
+CHANGED_SETTINGS = [
+    ("alphas", "0,0.25"),
+    ("eta", "0.9"),
+    ("n_steps", "2"),
+    ("nus", "1,2,4"),
+    ("n_e", "7"),
+    ("n_phi", "3"),
+    ("grid_size", "128"),
+    ("y", "0.9"),
+    ("tau", "1e-4"),
+    ("domain", "0,1.5"),
+    ("seed", "1"),
+]
+
+
+@pytest.mark.parametrize("key, raw", CHANGED_SETTINGS, ids=[key for key, _ in CHANGED_SETTINGS])
+def test_every_sweep_key_reaches_the_cell(tmp_path, key, raw):
+    # a cell that read a default in place of the record's value would write the same bytes
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "r.csv"
+    outputs = []
+    for extra in ("", f"{key}={raw}\n"):
+        cfg.write_text(SMALL_CONFIG + extra)
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+
+
 class TestCsvSchema:
     def test_mean_token_and_blank_fields(self):
-        res = relative_uncertainty(sweep([0.0], NOISELESS, [1], n_phi=2, n_e=4, seed=3, grid_size=128))
+        cfg = ExperimentConfig(alphas=(0.0,), nus=(1,), n_phi=2, n_e=4, seed=3, grid_size=128)
+        res = relative_uncertainty(sweep(cfg))
         text = render_csv(rows_from_sweep(res))
         mean_line = [l for l in text.splitlines() if ",mean," in l][0]
         fields = mean_line.split(",")

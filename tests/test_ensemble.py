@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro.bayes import DEFAULT_GRID_SIZE, min_confidence_interval, posterior_from_log_profiles
+from qmetro.config import DEFAULT_DOMAIN, ExperimentConfig
 from qmetro.ensemble import (
-    DEFAULT_DOMAIN,
     PROFILE_MATCH,
     _angle_columns,
     _distinct_records,
@@ -141,8 +141,8 @@ class TestSufficientRecords:
         grid_tables.cache_clear()
         try:
             assert outcome_classes(0.5, NOISELESS, 64) == [[0], [1], [2], [3]]
-            args = dict(n_phi=2, n_e=20, seed=3, domain=DEFAULT_DOMAIN, grid_size=64, y=0.95, tau=1e-3)
-            assert sweep([0.5], NOISELESS, [6], **args)[0.5, 6] == sweep_row_loop(0.5, NOISELESS, 6, **args)
+            cfg = ExperimentConfig(alphas=(0.5,), nus=(6,), n_phi=2, n_e=20, seed=3, grid_size=64)
+            assert sweep(cfg)[0.5, 6] == sweep_row_loop(cfg, 0.5, 6)
         finally:
             grid_tables.cache_clear()
 
@@ -196,21 +196,21 @@ class TestRunTrial:
     the lower end of the domain."""
 
     def test_certain_outcome(self):
-        row = sweep([1.0], NOISELESS, [50], n_phi=1, n_e=2, seed=5)[1.0, 50]
+        row = sweep(ExperimentConfig(alphas=(1.0,), nus=(50,), n_phi=1, n_e=2, seed=5))[1.0, 50]
         assert row.phis == (0.0,)
         assert row.mu_phi_mp == (0.0,) and row.sigma_phi_mp == (0.0,)
 
     def test_no_information(self):
-        row = sweep([0.5], NOISELESS, [0], n_phi=1, n_e=2, seed=6, grid_size=1024)[0.5, 0]
+        row = sweep(ExperimentConfig(alphas=(0.5,), nus=(0,), n_phi=1, n_e=2, seed=6, grid_size=1024))[0.5, 0]
         spacing = HALF_PI / (1024 - 1)
         assert row.sigma_l_ci == (0.0,)
         assert abs(row.mu_l_ci[0] - 0.95 * HALF_PI) <= 2 * spacing
 
     def test_fixed_seed_repeatable(self):
-        kwargs = dict(n_phi=2, n_e=5, seed=7, grid_size=256)
-        a = sweep([0.4], NoiseModel(0.9, 2), [8], **kwargs)
-        b = sweep([0.4], NoiseModel(0.9, 2), [8], **kwargs)
-        assert a == b
+        cfg = ExperimentConfig(
+            alphas=(0.4,), eta=0.9, n_steps=2, nus=(8,), n_phi=2, n_e=5, seed=7, grid_size=256
+        )
+        assert sweep(cfg) == sweep(cfg)
 
 
 class TestAngleColumns:
@@ -245,33 +245,31 @@ class TestAngleColumns:
     )
     def test_sweep_matches_per_angle_reference(self, alpha, noise, nu, n_phi, n_e):
         # bit for bit: the columns reduce each angle's trials on their own
-        args = dict(
-            n_phi=n_phi, n_e=n_e, seed=17, domain=DEFAULT_DOMAIN, grid_size=256, y=0.95, tau=1e-3
+        cfg = ExperimentConfig(
+            alphas=(alpha,), eta=noise.eta, n_steps=noise.n_steps, nus=(nu,), n_phi=n_phi, n_e=n_e, seed=17,
+            grid_size=256,
         )
-        row = sweep([alpha], noise, [nu], **args)[alpha, nu]
-        assert row == sweep_row_loop(alpha, noise, nu, **args)
+        assert sweep(cfg)[alpha, nu] == sweep_row_loop(cfg, alpha, nu)
 
 
 class TestSweep:
     def test_single_point_average(self):
-        row = sweep([0.5], NOISELESS, [3], n_phi=1, n_e=20, seed=11)[0.5, 3]
+        row = sweep(ExperimentConfig(alphas=(0.5,), nus=(3,), n_phi=1, n_e=20, seed=11))[0.5, 3]
         assert len(row.mu_l_ci) == 1
         assert row.mean_mu_l_ci == row.mu_l_ci[0]
 
     def test_rows_keyed_in_sweep_order(self):
-        rows = sweep([0.5, 0.0], NOISELESS, [2, 1], n_phi=1, n_e=2, seed=1, grid_size=64)
+        rows = sweep(ExperimentConfig(alphas=(0.5, 0.0), nus=(2, 1), n_phi=1, n_e=2, seed=1, grid_size=64))
         assert list(rows) == [(0.5, 2), (0.5, 1), (0.0, 2), (0.0, 1)]
         assert all((row.alpha, row.nu) == key for key, row in rows.items())
 
     def test_angles_span_domain_open_at_top(self):
-        phis = sweep_angles((0.0, HALF_PI), 20)
+        phis = sweep_angles(ExperimentConfig(domain=(0.0, HALF_PI), n_phi=20))
         assert phis[0] == 0.0 and phis[-1] < HALF_PI and len(phis) == 20
 
     def test_deterministic_across_workers(self):
-        kwargs = dict(nus=[1, 2], n_phi=3, n_e=8, seed=99, grid_size=256)
-        serial = sweep([0.0, 0.5], NOISELESS, workers=1, **kwargs)
-        parallel = sweep([0.0, 0.5], NOISELESS, workers=2, **kwargs)
-        assert serial == parallel
+        cfg = ExperimentConfig(alphas=(0.0, 0.5), nus=(1, 2), n_phi=3, n_e=8, seed=99, grid_size=256)
+        assert sweep(cfg, workers=1) == sweep(cfg, workers=2)
 
     @settings(max_examples=10, deadline=None)  # an example of 2+ cells starts a 2-process pool
     @given(
@@ -284,30 +282,33 @@ class TestSweep:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_worker_count_invariance(self, alphas, nus, eta, n_steps, n_phi, n_e, seed):
-        args = (alphas, NoiseModel(eta, n_steps), nus)
-        kwargs = dict(n_phi=n_phi, n_e=n_e, seed=seed, grid_size=64)
-        serial = sweep(*args, workers=1, **kwargs)
-        assert list(sweep(*args, workers=2, **kwargs).items()) == list(serial.items())
+        cfg = ExperimentConfig(
+            alphas=tuple(alphas), eta=eta, n_steps=n_steps, nus=tuple(nus), n_phi=n_phi, n_e=n_e, seed=seed,
+            grid_size=64,
+        )
+        serial = sweep(cfg, workers=1)
+        assert list(sweep(cfg, workers=2).items()) == list(serial.items())
 
     def test_cell_independent_of_sweep_layout(self):
         # a cell's stream is keyed on its (alpha, nu) values, not on their
         # positions in the sweep or on which worker runs it
         kwargs = dict(n_phi=3, n_e=8, seed=99, grid_size=256)
-        alone = sweep([0.5], NOISELESS, [2], **kwargs)[0.5, 2]
+        alone = sweep(ExperimentConfig(alphas=(0.5,), nus=(2,), **kwargs))[0.5, 2]
         for workers in (1, 2):
-            reversed_sweep = sweep([0.5, 1 / 3, 0.0], NOISELESS, [3, 2, 1], workers=workers, **kwargs)
-            assert reversed_sweep[0.5, 2] == alone
-        assert sweep([-0.0], NOISELESS, [2], **kwargs) == sweep([0.0], NOISELESS, [2], **kwargs)
+            reversed_cfg = ExperimentConfig(alphas=(0.5, 1 / 3, 0.0), nus=(3, 2, 1), **kwargs)
+            assert sweep(reversed_cfg, workers=workers)[0.5, 2] == alone
+        negative_zero = sweep(ExperimentConfig(alphas=(-0.0,), nus=(2,), **kwargs))
+        assert negative_zero == sweep(ExperimentConfig(alphas=(0.0,), nus=(2,), **kwargs))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sweep([0.5], NOISELESS, [1], n_phi=0, n_e=10, seed=1)
+            sweep(ExperimentConfig(alphas=(0.5,), nus=(1,), n_phi=0, n_e=10, seed=1))
         with pytest.raises(ValueError):
-            sweep([0.5], NOISELESS, [1], n_phi=1, n_e=1, seed=1)
+            sweep(ExperimentConfig(alphas=(0.5,), nus=(1,), n_phi=1, n_e=1, seed=1))
 
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError, match="got -1"):
-            sweep([0.5], NOISELESS, [-1], n_phi=1, n_e=2, seed=1)
+            sweep(ExperimentConfig(alphas=(0.5,), nus=(-1,), n_phi=1, n_e=2, seed=1))
 
     @pytest.mark.parametrize(
         "alphas, nus, name",
@@ -316,13 +317,14 @@ class TestSweep:
     )
     def test_duplicates_rejected(self, alphas, nus, name):
         with pytest.raises(ValueError, match=f"{name} must be distinct"):
-            sweep(alphas, NOISELESS, nus, n_phi=1, n_e=2, seed=1)
+            sweep(ExperimentConfig(alphas=tuple(alphas), nus=tuple(nus), n_phi=1, n_e=2, seed=1))
 
     def test_bad_alpha_rejected_before_any_cell(self, monkeypatch):
         cells = []
         monkeypatch.setattr("qmetro.ensemble._run_cell", cells.append)
+        cfg = ExperimentConfig(alphas=(0.0, 0.5, 1.5), nus=(1, 2), n_phi=1, n_e=2, seed=1, grid_size=16)
         with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got 1\.5"):
-            sweep([0.0, 0.5, 1.5], NOISELESS, [1, 2], n_phi=1, n_e=2, seed=1, grid_size=16, workers=1)
+            sweep(cfg, workers=1)
         assert cells == []
 
     @pytest.mark.parametrize(
@@ -347,25 +349,29 @@ class TestSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        rows = sweep([0.5], NOISELESS, nus, n_phi=1, n_e=2, seed=1, grid_size=16, workers=workers)
+        cfg = ExperimentConfig(alphas=(0.5,), nus=tuple(nus), n_phi=1, n_e=2, seed=1, grid_size=16)
+        rows = sweep(cfg, workers=workers)
         assert sizes == pools and list(rows) == [(0.5, nu) for nu in nus]
 
     def test_profile_shared_across_trials(self):
         grid_tables.cache_clear()
-        sweep([0.3], NoiseModel(0.9, 2), [1, 2, 3], n_phi=2, n_e=10, seed=5, grid_size=128)
+        cfg = ExperimentConfig(
+            alphas=(0.3,), eta=0.9, n_steps=2, nus=(1, 2, 3), n_phi=2, n_e=10, seed=5, grid_size=128
+        )
+        sweep(cfg)
         # one grid-profile build per (alpha, noise, domain, grid) configuration
         assert grid_tables.cache_info().misses == 1
 
     def test_statistical_sanity(self):
         n_e = 300
-        row = sweep([0.0], NOISELESS, [100], n_phi=2, n_e=n_e, seed=13)[0.0, 100]
+        row = sweep(ExperimentConfig(alphas=(0.0,), nus=(100,), n_phi=2, n_e=n_e, seed=13))[0.0, 100]
         assert row.phis[1] == math.pi / 4
         assert abs(row.mu_phi_mp[1] - math.pi / 4) <= 4 * row.sigma_phi_mp[1] / math.sqrt(n_e)
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    return sweep([0.0, 0.5], NOISELESS, [1, 2], n_phi=2, n_e=30, seed=21, grid_size=512)
+    return sweep(ExperimentConfig(alphas=(0.0, 0.5), nus=(1, 2), n_phi=2, n_e=30, seed=21, grid_size=512))
 
 
 class TestRelativeUncertainty:
