@@ -53,8 +53,9 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class PosteriorGrid:
-    """Normalized posterior density on ascending nodes with its cumulative-mass
-    table, each of shape (G,) for one record or (R, G) for a block."""
+    """Normalized posterior density on the nodes of ensemble.grid_tables, which
+    increase strictly by at least the smallest normal float, with its
+    cumulative-mass table, each of shape (G,) for one record or (R, G) for a block."""
 
     nodes: np.ndarray
     density: np.ndarray
@@ -87,7 +88,9 @@ def posterior_from_log_profiles(
 ) -> PosteriorGrid:
     """Posterior from per-node log outcome probabilities (shape (G, K)), as built
     by ensemble.grid_tables, for one count record or a block of them; a
-    record holds one count per column of the table.
+    record holds one count per column of the table. The nodes must increase
+    strictly by at least the smallest normal float (grid_tables checks), which
+    keeps the normalized density finite.
 
     The multinomial prefactor is omitted; it cancels in normalization.
     """
@@ -126,9 +129,6 @@ def posterior_from_log_profiles(
     cumulative *= np.concatenate(([0.0], np.diff(nodes)))
     np.cumsum(cumulative, axis=1, out=cumulative)
     norm = cumulative[:, -1:].copy()
-    dead = np.flatnonzero(norm[:, 0] <= 0.0)
-    if dead.size:
-        raise DegenerateEvidenceError(f"posterior mass is zero for counts {block[dead[0]].tolist()}")
     density /= norm
     cumulative /= norm
     if k.ndim == 1:
@@ -140,18 +140,6 @@ def most_probable(grid: PosteriorGrid) -> float | np.ndarray:
     """Node maximizing the posterior density of each record; ties break toward
     the smallest angle."""
     return _per_record(grid, grid.nodes[np.argmax(np.atleast_2d(grid.density), axis=1)])
-
-
-def _cumulative_at(nodes, density, cumulative, rows, x) -> np.ndarray:
-    """Cumulative mass of each given row up to its own x, with linear density
-    interpolation inside a cell."""
-    cell = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-    h = nodes[cell + 1] - nodes[cell]
-    t = x - nodes[cell]
-    d_j, d_next = density[rows, cell], density[rows, cell + 1]
-    d_at_x = d_j + (d_next - d_j) * t / h
-    inside = cumulative[rows, cell] + 0.5 * (d_j + d_at_x) * t
-    return np.where(x <= nodes[0], 0.0, np.where(x >= nodes[-1], cumulative[rows, -1], inside))
 
 
 def check_interval_target(y: float, tau: float) -> None:
@@ -174,8 +162,11 @@ def min_confidence_interval(
     A two-pointer scan over the cumulative table finds the shortest
     node-aligned interval with mass >= y; if its mass overshoots y + tau,
     the lower-density endpoint is bisected inward until the mass lands
-    within tolerance. The rows of a block that still need bisection are
-    refined together, each with its own endpoint and step budget.
+    within tolerance. The moving endpoint stays in one end cell, so a step
+    adds the trapezoid up to it, a quadratic in the endpoint, to the table's
+    mass at the cell's left node; the fixed endpoint is a node. The rows of a
+    block that still need bisection are refined together, each with its own
+    endpoint and step budget.
     """
     check_interval_target(y, tau)
     nodes = grid.nodes
@@ -186,22 +177,15 @@ def min_confidence_interval(
     for r, c in enumerate(cumulative):
         targets = c + y
         # The starts that reach mass y are those whose target stays within
-        # the total: a prefix of n_valid. The starts up to `first` share the
-        # target of start 0 (their mass is below its rounding), hence one end
-        # and lengths that fall towards `first`: only `first` needs a search,
-        # unless it ties with an earlier start.
+        # the total c[-1] = 1: a prefix of n_valid >= 1, as c[0] = 0. The
+        # starts up to `first` share the target of start 0 (their mass is
+        # below its rounding), hence one end and lengths that fall towards
+        # `first`: only `first` needs a search.
         first, n_valid = np.searchsorted(targets, (targets[0], c[-1]), side="right")
         first -= 1
-        if not n_valid:
-            raise ConvergenceError(
-                f"no interval reaches mass {y}",
-                ConfidenceInterval(float(nodes[0]), float(nodes[-1]), float(c[-1])),
-            )
         right = np.searchsorted(c, targets[first:n_valid], side="left")
         k = np.argmin(nodes[right] - nodes[first:n_valid])
-        # at k = 0 an earlier start of equal length wins the tie
-        i[r] = first + k if k else np.argmin(nodes[right[0]] - nodes[: first + 1])
-        j[r] = right[k]
+        i[r], j[r] = first + k, right[k]
     every_row = np.arange(n_rows)
     a, b = nodes[i], nodes[j]
     mass = cumulative[every_row, j] - cumulative[every_row, i]
@@ -212,16 +196,20 @@ def min_confidence_interval(
     rows = np.flatnonzero(np.abs(mass - y) > tau)
     i, j = i[rows], j[rows]
     move_left = (density[rows, i] <= density[rows, j]) & (j > i + 1)
-    lo_x = np.where(move_left, nodes[i], nodes[j - 1])
-    hi_x = np.where(move_left, nodes[i + 1], nodes[j])
-    fixed_mass = _cumulative_at(nodes, density, cumulative, rows, np.where(move_left, b[rows], a[rows]))
+    cell = np.where(move_left, i, j - 1)  # [x_0, x_0 + h], where the moving endpoint stays
+    lo_x, hi_x = nodes[cell], nodes[cell + 1]
+    x_0, h = lo_x, hi_x - lo_x
+    d_0, d_1, mass_0 = density[rows, cell], density[rows, cell + 1], cumulative[rows, cell]
+    fixed_mass = cumulative[rows, np.where(move_left, j, i)]
     best_x, best_mass = np.where(move_left, a[rows], b[rows]), mass[rows]
     active = np.ones(len(rows), dtype=bool)
     for _ in range(max_refine):
         if not active.any():
             break
         mid = 0.5 * (lo_x + hi_x)
-        at_mid = _cumulative_at(nodes, density, cumulative, rows, mid)
+        t = mid - x_0
+        d_mid = d_0 + (d_1 - d_0) * t / h
+        at_mid = mass_0 + 0.5 * (d_0 + d_mid) * t
         candidate = np.where(move_left, fixed_mass - at_mid, at_mid - fixed_mass)
         miss = np.abs(candidate - y)
         # a hit retires its row; a miss still replaces a worse best

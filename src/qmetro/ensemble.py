@@ -82,6 +82,10 @@ PROFILE_MATCH = 1e-14
 # the (4, 4) 0/1 map from outcomes (dd, du, ud, uu) to the qubit outcomes
 # (q1=d, q1=u, q2=d, q2=u) they hold
 QUBIT_MAP = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=np.int64)
+# the largest domain end: sums of squared angles stay far inside the float range
+MAX_DOMAIN_END = 1e100
+# the fewest floats a cell spans at the largest end: rounded cells agree to ~1e-6
+MIN_CELL_FLOATS = 2**20
 
 
 @dataclass(frozen=True)
@@ -163,16 +167,24 @@ def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], gr
     are merged, with a 0/1 map.
 
     The one builder of posterior grids, for sweeps and single posteriors
-    alike. Cached so the quantum channel is evaluated once per grid node per
-    configuration and shared across all trials.
+    alike, and the one check of their nodes, which bayes relies on. Cached so
+    the quantum channel is evaluated once per grid node per configuration
+    and shared across all trials.
     """
     lo, hi = domain
     # a finite width hi - lo also needs lo and hi finite
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"domain must have a finite width hi - lo and lo < hi, got {domain}")
+    end = max(abs(lo), abs(hi))
+    if end > MAX_DOMAIN_END:
+        raise ValueError(f"domain ends must be at most {MAX_DOMAIN_END:g} in magnitude, got {domain}")
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     nodes = np.linspace(lo, hi, grid_size)
+    # bayes relies on strictly increasing nodes spaced by normal floats
+    least = max(np.finfo(float).tiny, MIN_CELL_FLOATS * np.spacing(end))
+    if np.diff(nodes).min() < least:
+        raise ValueError(f"domain {domain} is too narrow: {grid_size} nodes must be {least:.3g} apart")
     profiles = profile_grid(alpha, nodes, noise)
     log_profiles, merge = _merged_table(profiles, QUBIT_MAP, profiles @ QUBIT_MAP)
     # each outcome's log probability as the table scores it: its map row

@@ -223,9 +223,9 @@ def sampled_records(alpha, noise, nus, per_nu, seed):
     return np.array(records)
 
 
-def solve(nodes, log_profiles, counts):
+def solve(nodes, log_profiles, counts, tau=1e-3):
     grid = posterior_from_log_profiles(nodes, log_profiles, counts)
-    ci = min_confidence_interval(grid)
+    ci = min_confidence_interval(grid, 0.95, tau)
     return most_probable(grid), ci
 
 
@@ -257,28 +257,33 @@ class TestBlocks:
             merge,
         )
         assert len(records) > BLOCK + 1
-        single = [solve(nodes, log_profiles, r) for r in records]
-        for record, (mp, ci) in zip(records, single):
+        references = [posterior_loop(nodes, log_profiles, record) for record in records]
+        for record, (density, cumulative) in zip(records, references):
             # a lone record matches the step-by-step reference bit for bit
-            density, cumulative = posterior_loop(nodes, log_profiles, record)
             grid = posterior_from_log_profiles(nodes, log_profiles, record)
             assert bits(grid.density) == bits(density)
             assert bits(grid.cumulative) == bits(cumulative)
-            assert bits(mp) == bits(nodes[np.argmax(density)])
-            assert bits((ci.a, ci.b, ci.mass)) == bits(
-                min_confidence_interval_loop(nodes, density, cumulative, 0.95, 1e-3)
-            )
-        for size in (1, BLOCK - 1, BLOCK, BLOCK + 1):
-            for start in range(0, len(records), size):
-                mp, ci = solve(nodes, log_profiles, records[start : start + size])
-                assert isinstance(mp, np.ndarray) and mp.shape == (len(records[start : start + size]),)
-                for r, (mp_r, ci_r) in enumerate(single[start : start + size]):
-                    assert bits(mp[r]) == bits(mp_r)
-                    assert bits(ci.length[r]) == bits(ci_r.length)
-                    assert bits(ci.mass[r]) == bits(ci_r.mass)
-        # the records cover a node-aligned hit and a bisection of either endpoint
-        ends = {(ci.a in nodes, ci.b in nodes) for _, ci in single}
-        assert ends == {(True, True), (False, True), (True, False)}
+        # these records take at most 3 bisection steps at tau = 1e-3, and up
+        # to 22 at 1e-9 and 33 at 1e-12
+        for tau in (1e-3, 1e-9, 1e-12):
+            single = [solve(nodes, log_profiles, r, tau) for r in records]
+            for (density, cumulative), (mp, ci) in zip(references, single):
+                assert bits(mp) == bits(nodes[np.argmax(density)])
+                assert bits((ci.a, ci.b, ci.mass)) == bits(
+                    min_confidence_interval_loop(nodes, density, cumulative, 0.95, tau)
+                )
+            for size in (1, BLOCK - 1, BLOCK, BLOCK + 1):
+                for start in range(0, len(records), size):
+                    mp, ci = solve(nodes, log_profiles, records[start : start + size], tau)
+                    assert isinstance(mp, np.ndarray) and mp.shape == (len(records[start : start + size]),)
+                    for r, (mp_r, ci_r) in enumerate(single[start : start + size]):
+                        assert bits(mp[r]) == bits(mp_r)
+                        assert bits(ci.length[r]) == bits(ci_r.length)
+                        assert bits(ci.mass[r]) == bits(ci_r.mass)
+            if tau == 1e-3:
+                # the records cover a node-aligned hit and a bisection of either endpoint
+                ends = {(ci.a in nodes, ci.b in nodes) for _, ci in single}
+                assert ends == {(True, True), (False, True), (True, False)}
 
     def test_single_record_returns_floats(self):
         grid = posterior(0.4, [3, 1, 2, 4])
@@ -339,6 +344,49 @@ class TestBlocks:
         assert np.allclose(np.trapezoid(grid.density, nodes, axis=1), 1.0, rtol=0.0, atol=1e-9)
         ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
         assert np.all(np.abs(ci.mass - 0.95) <= 1e-3)
+
+
+def scaled(mantissa, exponent):
+    return mantissa * 10.0**exponent
+
+
+# magnitudes from subnormal to past the largest domain end, 1e100
+MAGNITUDES = st.builds(scaled, st.floats(1.0, 10.0), st.integers(-320, 101))
+
+
+@st.composite
+def domains(draw):
+    """(lo, hi) of any magnitude, some as narrow as the float resolution at lo."""
+    lo = draw(st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x)))
+    relative = st.builds(scaled, st.floats(1.0, 10.0), st.integers(-17, -9)).map(lambda r: r * abs(lo))
+    return lo, lo + draw(st.one_of(MAGNITUDES, relative))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    domain=domains(),
+    grid_size=st.integers(8, 64),
+    alpha=st.floats(0.0, 1.0),
+    record=st.lists(st.integers(0, 5), min_size=4, max_size=4),
+)
+def test_grid_boundary(domain, grid_size, alpha, record):
+    # grid_tables rejects a domain by name, or its grid gives finite
+    # estimates inside it; pytest turns any numpy warning into a failure
+    try:
+        nodes, log_profiles, merge = grid_tables(alpha, NOISELESS, domain, grid_size)
+    except ValueError as exc:
+        assert str(domain) in str(exc)
+        return
+    try:
+        grid = posterior_from_log_profiles(nodes, log_profiles, sufficient_records(record, merge))
+    except DegenerateEvidenceError:
+        # near 0 the probability of an outcome can underflow at every node
+        return
+    assert np.isfinite(grid.density).all() and np.isfinite(grid.cumulative).all()
+    assert domain[0] <= most_probable(grid) <= domain[1]
+    ci = min_confidence_interval(grid, 0.95, 1e-3)
+    assert domain[0] <= ci.a <= ci.b <= domain[1]
+    assert abs(ci.mass - 0.95) <= 1e-3
 
 
 def test_convergence_error_pickles():

@@ -158,8 +158,10 @@ class TestPosteriorCommand:
             ("--grid-size", "1", "grid_size must be >= 3, got 1"),
             ("--domain", "0,inf", "--domain: not finite: 'inf'"),
             ("--domain", "-1e308,1e308", "finite width hi - lo and lo < hi, got (-1e+308, 1e+308)"),
+            ("--domain", "1,1.0000000000001", "(1.0, 1.0000000000001) is too narrow: 1024 nodes must be 2.33e-10 apart"),
+            ("--domain", "0,1e-310", "(0.0, 1e-310) is too narrow: 1024 nodes must be 2.23e-308 apart"),
         ],
-        ids=["grid-size-2", "grid-size-1", "domain-inf", "domain-width-inf"],
+        ids=["grid-size-2", "grid-size-1", "domain-inf", "domain-width-inf", "domain-narrow", "domain-subnormal"],
     )
     def test_bad_grid_rejected(self, tmp_path, flag, value, named):
         # a fresh interpreter, so any numpy warning would reach stderr as a user sees it
@@ -356,6 +358,11 @@ INVALID_SETTINGS = [
     ("domain", "0.5", "0.5"),
     ("domain", "0,inf", "inf"),
     ("domain", "-1e308,1e308", "(-1e+308, 1e+308)"),
+    ("domain", "1,1.0000000000001", "(1.0, 1.0000000000001)"),
+    ("domain", "0,1e-310", "(0.0, 1e-310)"),
+    ("domain", "0,1e300", "(0.0, 1e+300)"),
+    ("domain", "-1e154,1e154", "(-1e+154, 1e+154)"),
+    ("domain", "1e308,1.7e308", "(1e+308, 1.7e+308)"),
     ("seed", "-1", "-1"),
     ("seed", str(2**64), str(2**64)),
     ("seed", "x", "'x'"),
