@@ -1,7 +1,9 @@
 """Grid-based Bayesian posterior over a rotation angle and its minimal confidence interval.
 
-The posterior lives on a uniform grid with trapezoid quadrature. Likelihoods
-are accumulated in log space so large measurement counts do not underflow.
+The posterior lives on a uniform grid with trapezoid quadrature, so its
+density is linear between nodes and an interval's mass up to an endpoint is a
+quadratic in it. Likelihoods are accumulated in log space so large
+measurement counts do not underflow.
 
 Every function takes one count record (shape (K,)) or a block of R records
 (shape (R, K)), one count per column of the log-probability table, and works
@@ -18,7 +20,9 @@ import numpy as np
 
 DEFAULT_GRID_SIZE = 1024
 DEFAULT_Y = 0.95  # posterior mass of the confidence interval
-DEFAULT_TAU = 1e-3  # tolerance on that mass
+DEFAULT_TAU = 1e-3  # tolerance the interval's mass is checked against
+# the least target mass that changes a cumulative mass it is added to, 1 included
+MIN_Y = 2.0**-53
 
 
 class DegenerateEvidenceError(ValueError):
@@ -27,15 +31,7 @@ class DegenerateEvidenceError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Confidence-interval refinement failed to reach tolerance."""
-
-    def __init__(self, message: str, best: "ConfidenceInterval"):
-        super().__init__(message)
-        self.best = best
-
-    def __reduce__(self):
-        # rebuilt from (message, best), so it survives a pool worker's pickling
-        return type(self), (str(self), self.best)
+    """A confidence interval's mass missed its target by more than the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -143,9 +139,9 @@ def most_probable(grid: PosteriorGrid) -> float | np.ndarray:
 
 
 def check_interval_target(y: float, tau: float) -> None:
-    """Reject a target mass y outside (0, 1) or a tolerance tau that is not positive."""
-    if not 0.0 < y < 1.0:
-        raise ValueError(f"y must be in (0, 1), got {y}")
+    """Reject a target mass y outside (MIN_Y, 1) or a tolerance tau that is not positive."""
+    if not MIN_Y < y < 1.0:
+        raise ValueError(f"y must be in ({MIN_Y:.6g}, 1), got {y}")
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
 
@@ -154,24 +150,22 @@ def min_confidence_interval(
     grid: PosteriorGrid,
     y: float = DEFAULT_Y,
     tau: float = DEFAULT_TAU,
-    max_refine: int = 100,
 ) -> ConfidenceInterval:
-    """Shortest interval whose posterior mass is within tau of the target y,
-    for each record of the grid.
+    """Shortest interval holding posterior mass y, for each record of the grid;
+    a ConvergenceError names any record whose mass misses y by more than tau.
 
     A two-pointer scan over the cumulative table finds the shortest
-    node-aligned interval with mass >= y; if its mass overshoots y + tau,
-    the lower-density endpoint is bisected inward until the mass lands
-    within tolerance. The moving endpoint stays in one end cell, so a step
-    adds the trapezoid up to it, a quadratic in the endpoint, to the table's
-    mass at the cell's left node; the fixed endpoint is a node. The rows of a
-    block that still need bisection are refined together, each with its own
-    endpoint and step budget.
+    node-aligned interval [i, j] with mass >= y, so [i + 1, j] and [i, j - 1]
+    hold less than y. The endpoint in lower density therefore moves inward
+    within its end cell, where the density is linear and the mass up to the
+    endpoint is a quadratic in it: the quadratic's stable root places the
+    endpoint where the mass is y. The other endpoint stays a node. Every row
+    of a block takes the same vectorised step.
     """
     check_interval_target(y, tau)
     nodes = grid.nodes
     density, cumulative = np.atleast_2d(grid.density), np.atleast_2d(grid.cumulative)
-    n_rows, n = cumulative.shape
+    n_rows = len(cumulative)
     i = np.empty(n_rows, dtype=np.intp)
     j = np.empty(n_rows, dtype=np.intp)
     for r, c in enumerate(cumulative):
@@ -186,49 +180,33 @@ def min_confidence_interval(
         right = np.searchsorted(c, targets[first:n_valid], side="left")
         k = np.argmin(nodes[right] - nodes[first:n_valid])
         i[r], j[r] = first + k, right[k]
-    every_row = np.arange(n_rows)
-    a, b = nodes[i], nodes[j]
-    mass = cumulative[every_row, j] - cumulative[every_row, i]
-
-    # rows whose mass overshoots y + tau: shave the endpoint sitting in lower
-    # density, which sheds the excess mass over the greatest length; the
-    # other endpoint stays put, and so does the cumulative mass up to it
-    rows = np.flatnonzero(np.abs(mass - y) > tau)
-    i, j = i[rows], j[rows]
+    rows = np.arange(n_rows)
+    # Shave the endpoint in lower density, which sheds the excess mass over
+    # the greatest length, to x = x_0 + u h in its end cell [x_0, x_0 + h].
+    # Scaled by their larger one, D, so that nothing overflows, the cell's
+    # densities are p_0 and p_1, and [x_0, x] holds h D s(u) with
+    # s(u) = p_0 u + (p_1 - p_0) u^2 / 2.
     move_left = (density[rows, i] <= density[rows, j]) & (j > i + 1)
-    cell = np.where(move_left, i, j - 1)  # [x_0, x_0 + h], where the moving endpoint stays
-    lo_x, hi_x = nodes[cell], nodes[cell + 1]
-    x_0, h = lo_x, hi_x - lo_x
-    d_0, d_1, mass_0 = density[rows, cell], density[rows, cell + 1], cumulative[rows, cell]
-    fixed_mass = cumulative[rows, np.where(move_left, j, i)]
-    best_x, best_mass = np.where(move_left, a[rows], b[rows]), mass[rows]
-    active = np.ones(len(rows), dtype=bool)
-    for _ in range(max_refine):
-        if not active.any():
-            break
-        mid = 0.5 * (lo_x + hi_x)
-        t = mid - x_0
-        d_mid = d_0 + (d_1 - d_0) * t / h
-        at_mid = mass_0 + 0.5 * (d_0 + d_mid) * t
-        candidate = np.where(move_left, fixed_mass - at_mid, at_mid - fixed_mass)
-        miss = np.abs(candidate - y)
-        # a hit retires its row; a miss still replaces a worse best
-        hit = active & (miss <= tau)
-        take = hit | (active & (miss < np.abs(best_mass - y)))
-        best_x, best_mass = np.where(take, mid, best_x), np.where(take, candidate, best_mass)
-        raise_lo = (candidate > y) == move_left
-        lo_x, hi_x = np.where(raise_lo, mid, lo_x), np.where(raise_lo, hi_x, mid)
-        active &= ~hit
-    a[rows] = np.where(move_left, best_x, a[rows])
-    b[rows] = np.where(move_left, b[rows], best_x)
-    mass[rows] = best_mass
-    if active.any():
-        r = rows[np.argmax(active)]
-        best = ConfidenceInterval(float(a[r]), float(b[r]), float(mass[r]))
+    cell = np.where(move_left, i, j - 1)
+    h = nodes[cell + 1] - nodes[cell]
+    d_0, d_1 = density[rows, cell], density[rows, cell + 1]
+    top = np.maximum(d_0, d_1)  # > 0: the end cell holds mass
+    p_0, p_1, unit = d_0 / top, d_1 / top, h * top
+    # s(u) = q, the excess of [i, j] over y when the left end moves, or
+    # what [i, j - 1] lacks of y when the right end moves
+    kept = np.where(move_left, cumulative[rows, j], cumulative[rows, j - 1]) - cumulative[rows, i]
+    q = np.clip(np.where(move_left, kept - y, y - kept) / unit, 0.0, 0.5 * (p_0 + p_1))
+    # the stable root; rounding can carry x_0 + u h past the cell's far node
+    den = p_0 + np.sqrt(p_0 * p_0 + 2.0 * (p_1 - p_0) * q)
+    u = np.divide(2.0 * q, den, out=np.zeros_like(q), where=den > 0.0)
+    x = np.minimum(nodes[cell] + u * h, nodes[cell + 1])
+    # s(u) is u den / 2 at the root, which takes fewer roundings than its terms
+    part = 0.5 * unit * u * den
+    a, b = np.where(move_left, x, nodes[i]), np.where(move_left, nodes[j], x)
+    mass = np.where(move_left, kept - part, kept + part)
+    missed = np.flatnonzero(np.abs(mass - y) > tau)
+    if missed.size:
+        r = missed[0]
         where = f" (row {r} of the block)" if grid.density.ndim == 2 else ""
-        raise ConvergenceError(
-            f"confidence interval did not reach |mass - {y}| <= {tau} "
-            f"after {max_refine} bisections (best mass {best.mass}){where}",
-            best,
-        )
+        raise ConvergenceError(f"confidence interval mass {mass[r]} is not within {tau} of {y}{where}")
     return ConfidenceInterval(_per_record(grid, a), _per_record(grid, b), _per_record(grid, mass))

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from qmetro.bayes import (
     DEFAULT_GRID_SIZE,
-    ConfidenceInterval,
+    MIN_Y,
     ConvergenceError,
     DegenerateEvidenceError,
     min_confidence_interval,
@@ -28,6 +28,8 @@ from oracles import (
 )
 
 HALF_PI = np.pi / 2
+# the end-cell root places an interval's mass within this many ulps of its target
+ROOT_ULPS = 4
 
 
 def probe_profile(alpha, noise=NOISELESS):
@@ -151,7 +153,7 @@ class TestMinConfidenceInterval:
         ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
         spacing = grid.nodes[1] - grid.nodes[0]
         assert abs(ci.length - 0.95 * HALF_PI) <= 2 * spacing
-        assert abs(ci.mass - 0.95) <= 1e-3
+        assert abs(ci.mass - 0.95) <= ROOT_ULPS * np.spacing(0.95)
 
     def test_cos4_against_root_finding(self):
         grid = posterior(1.0, [0, 1, 0, 0], (0.0, np.pi), grid_size=2048)
@@ -169,7 +171,7 @@ class TestMinConfidenceInterval:
             counts = rng.multinomial(int(rng.integers(0, 12)), [0.25] * 4)
             grid = posterior(rng.uniform(0, 1), counts)
             ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
-            assert abs(ci.mass - 0.95) <= 1e-3
+            assert abs(ci.mass - 0.95) <= ROOT_ULPS * np.spacing(0.95)
             assert abs(interval_probability(grid, ci.a, ci.b) - ci.mass) <= 1e-12
 
     def test_grid_level_optimality(self):
@@ -187,12 +189,22 @@ class TestMinConfidenceInterval:
 
     def test_invalid_arguments(self):
         grid = posterior(0.5, [0, 0, 0, 0])
-        for y in (1.2, np.nan):
-            with pytest.raises(ValueError, match=rf"y must be in \(0, 1\), got {y}"):
+        # below MIN_Y, c + y rounds to c for a cumulative mass c near 1
+        for y in (1.2, np.nan, 0.0, MIN_Y, 1e-17):
+            with pytest.raises(ValueError, match=rf"y must be in \(1\.11022e-16, 1\), got {y}"):
                 min_confidence_interval(grid, y=y)
         for tau in (0.0, np.nan):
             with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
                 min_confidence_interval(grid, y=0.95, tau=tau)
+
+    def test_least_target_mass(self):
+        # just above MIN_Y every start's target still exceeds its own
+        # cumulative mass, so no interval comes out reversed or outside the grid
+        grid = posterior(0.5, [[0, 0, 0, 0], [300, 40, 50, 310], [3, 1, 2, 4]])
+        y = np.nextafter(MIN_Y, 1.0)
+        ci = min_confidence_interval(grid, y)
+        assert np.all((grid.nodes[0] <= ci.a) & (ci.a <= ci.b) & (ci.b <= grid.nodes[-1]))
+        assert np.all(np.abs(ci.mass - y) <= np.spacing(1.0))
 
     def test_more_data_shrinks_expected_interval(self):
         # paired trials: extending a count record at the same true angle must
@@ -223,9 +235,9 @@ def sampled_records(alpha, noise, nus, per_nu, seed):
     return np.array(records)
 
 
-def solve(nodes, log_profiles, counts, tau=1e-3):
+def solve(nodes, log_profiles, counts):
     grid = posterior_from_log_profiles(nodes, log_profiles, counts)
-    ci = min_confidence_interval(grid, 0.95, tau)
+    ci = min_confidence_interval(grid, 0.95, 1e-3)
     return most_probable(grid), ci
 
 
@@ -263,27 +275,31 @@ class TestBlocks:
             grid = posterior_from_log_profiles(nodes, log_profiles, record)
             assert bits(grid.density) == bits(density)
             assert bits(grid.cumulative) == bits(cumulative)
-        # these records take at most 3 bisection steps at tau = 1e-3, and up
-        # to 22 at 1e-9 and 33 at 1e-12
-        for tau in (1e-3, 1e-9, 1e-12):
-            single = [solve(nodes, log_profiles, r, tau) for r in records]
-            for (density, cumulative), (mp, ci) in zip(references, single):
-                assert bits(mp) == bits(nodes[np.argmax(density)])
-                assert bits((ci.a, ci.b, ci.mass)) == bits(
-                    min_confidence_interval_loop(nodes, density, cumulative, 0.95, tau)
-                )
-            for size in (1, BLOCK - 1, BLOCK, BLOCK + 1):
-                for start in range(0, len(records), size):
-                    mp, ci = solve(nodes, log_profiles, records[start : start + size], tau)
-                    assert isinstance(mp, np.ndarray) and mp.shape == (len(records[start : start + size]),)
-                    for r, (mp_r, ci_r) in enumerate(single[start : start + size]):
-                        assert bits(mp[r]) == bits(mp_r)
-                        assert bits(ci.length[r]) == bits(ci_r.length)
-                        assert bits(ci.mass[r]) == bits(ci_r.mass)
-            if tau == 1e-3:
-                # the records cover a node-aligned hit and a bisection of either endpoint
-                ends = {(ci.a in nodes, ci.b in nodes) for _, ci in single}
-                assert ends == {(True, True), (False, True), (True, False)}
+        single = [solve(nodes, log_profiles, r) for r in records]
+        for (density, cumulative), (mp, ci) in zip(references, single):
+            assert bits(mp) == bits(nodes[np.argmax(density)])
+            # the root is the endpoint that bisection to a tight tolerance approaches
+            a, b, _ = min_confidence_interval_loop(nodes, density, cumulative, 0.95, 1e-12)
+            assert ci.length == pytest.approx(b - a, rel=1e-9, abs=0.0)
+        for size in (1, BLOCK - 1, BLOCK, BLOCK + 1):
+            for start in range(0, len(records), size):
+                mp, ci = solve(nodes, log_profiles, records[start : start + size])
+                assert isinstance(mp, np.ndarray) and mp.shape == (len(records[start : start + size]),)
+                for r, (mp_r, ci_r) in enumerate(single[start : start + size]):
+                    assert bits(mp[r]) == bits(mp_r)
+                    assert bits((ci.a[r], ci.b[r], ci.mass[r])) == bits((ci_r.a, ci_r.b, ci_r.mass))
+        # one endpoint stays a node; the other is one only where the root
+        # lands on it, when the node-aligned interval already holds y
+        ends = set()
+        for (_, cumulative), (_, ci) in zip(references, single):
+            at_a, at_b = ci.a in nodes, ci.b in nodes
+            assert at_a or at_b
+            if at_a and at_b:
+                i, j = np.searchsorted(nodes, (ci.a, ci.b))
+                assert abs(cumulative[j] - cumulative[i] - 0.95) <= ROOT_ULPS * np.spacing(0.95)
+            ends.add((at_a, at_b))
+        # the records move either endpoint
+        assert {(False, True), (True, False)} <= ends
 
     def test_single_record_returns_floats(self):
         grid = posterior(0.4, [3, 1, 2, 4])
@@ -318,15 +334,17 @@ class TestBlocks:
         custom_posterior(dead, [block[0], block[1], block[3]])
 
     def test_unconverged_row_named(self):
-        grid = posterior(0.5, [[0, 0, 0, 0], [300, 40, 50, 310]])
-        alone = posterior(0.5, [300, 40, 50, 310])
-        # the record needs bisection, so it cannot converge without a refinement step
-        assert min_confidence_interval(alone).a not in alone.nodes
-        with pytest.raises(ConvergenceError, match="row 1 of the block") as err:
-            min_confidence_interval(grid, max_refine=0)
+        # the root lands an ulp off y = 1e-3 for this record and on it for the
+        # uniform one, so a tolerance below that ulp fails the record alone
+        record, y = [9, 8, 5, 6], 1e-3
+        grid = posterior(0.5, [[0, 0, 0, 0], record])
+        alone = posterior(0.5, record)
+        residual = abs(min_confidence_interval(alone, y).mass - y)
+        assert residual > 0.0
+        with pytest.raises(ConvergenceError, match="row 1 of the block"):
+            min_confidence_interval(grid, y, residual / 2)
         with pytest.raises(ConvergenceError) as err_alone:
-            min_confidence_interval(alone, max_refine=0)
-        assert err.value.best == err_alone.value.best
+            min_confidence_interval(alone, y, residual / 2)
         assert "row" not in str(err_alone.value)
 
     @settings(max_examples=40, deadline=None)
@@ -343,7 +361,7 @@ class TestBlocks:
         grid = posterior_from_log_profiles(nodes, log_profiles, records)
         assert np.allclose(np.trapezoid(grid.density, nodes, axis=1), 1.0, rtol=0.0, atol=1e-9)
         ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
-        assert np.all(np.abs(ci.mass - 0.95) <= 1e-3)
+        assert np.all(np.abs(ci.mass - 0.95) <= ROOT_ULPS * np.spacing(0.95))
 
 
 def scaled(mantissa, exponent):
@@ -386,12 +404,63 @@ def test_grid_boundary(domain, grid_size, alpha, record):
     assert domain[0] <= most_probable(grid) <= domain[1]
     ci = min_confidence_interval(grid, 0.95, 1e-3)
     assert domain[0] <= ci.a <= ci.b <= domain[1]
-    assert abs(ci.mass - 0.95) <= 1e-3
+    assert abs(ci.mass - 0.95) <= ROOT_ULPS * np.spacing(0.95)
 
 
 def test_convergence_error_pickles():
-    err = ConvergenceError("no luck", ConfidenceInterval(0.1, 0.4, 0.93))
-    back = pickle.loads(pickle.dumps(err))
+    back = pickle.loads(pickle.dumps(ConvergenceError("no luck")))
     assert type(back) is ConvergenceError
     assert str(back) == "no luck"
-    assert back.best == err.best
+
+
+def check_end_cell_root(grid, y, ci):
+    """The properties of each block row's shortest interval that the end-cell root guarantees."""
+    nodes = grid.nodes
+    for c, a, b, mass in zip(grid.cumulative, ci.a, ci.b, ci.mass):
+        assert abs(mass - y) <= ROOT_ULPS * np.spacing(y)
+        assert nodes[0] <= a <= b <= nodes[-1]
+        # [a, b] spans the node-aligned [i, j] but for the moving endpoint's
+        # cell, so [i + 1, j] and [i, j - 1] hold less than y
+        i = np.searchsorted(nodes, a, side="right") - 1
+        j = np.searchsorted(nodes, b, side="left")
+        assert a == nodes[i] or b == nodes[j]
+        assert c[j] - c[i + 1] < y and c[j - 1] - c[i] < y
+        # no node-aligned interval holding y is shorter, from any start
+        right = np.searchsorted(c, c + y, side="left")
+        reach = right < len(nodes)
+        assert b - a <= np.min(nodes[right[reach]] - nodes[reach])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.one_of(st.just(0.5), st.floats(0.0, 1.0)),
+    eta=st.sampled_from([1.0, 0.9]),
+    grid_size=st.integers(8, 1024),
+    # a target far above the cumulative table's rounding, 2^-53 near mass 1,
+    # which can otherwise decide whether an end cell holds it
+    y=st.one_of(st.sampled_from([0.5, 0.999]), st.floats(1e-12, 1.0, exclude_max=True)),
+    nus=st.lists(st.integers(0, 400), max_size=6),
+    tie=st.integers(0, 250),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_end_cell_root(alpha, eta, grid_size, y, nus, tie, seed):
+    # the shortest interval's moving endpoint is the root of its end cell's
+    # quadratic: its mass is y to a few ulps, inside the cell the scan picked
+    noise = NoiseModel(eta, 5)
+    nodes, log_profiles, merge = grid_tables(alpha, noise, (0.0, HALF_PI), grid_size)
+    # concentrated at pi/4, so that the lowest starts share start 0's target
+    p = np.clip(measurement_probabilities(alpha, np.pi / 4, noise), 0.0, None)
+    concentrated = np.random.default_rng(seed).multinomial(400, p / p.sum())
+    # a tied posterior, and equal counts: symmetric about pi/4 for the Bell probe
+    records = [[0, 0, 0, 0], [tie] * 4, concentrated, *sampled_records(alpha, noise, nus, 1, seed)]
+    grid = posterior_from_log_profiles(nodes, log_profiles, sufficient_records(records, merge))
+    check_end_cell_root(grid, y, min_confidence_interval(grid, y, 1e-3))
+
+
+def test_first_shortcut():
+    # posteriors concentrated away from 0: their lowest starts share start 0's
+    # target, so the scan searches from `first`; (500, 500) is symmetric about pi/4
+    grid = posterior(0.5, [[0, 0, 0, 0], [250] * 4, [20, 0, 0, 30]])
+    c = grid.cumulative[1:]
+    assert np.all(c[:, 1] + 0.95 == 0.95)
+    check_end_cell_root(grid, 0.95, min_confidence_interval(grid))

@@ -13,6 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qmetro
+from qmetro import ensemble
+from qmetro.bayes import min_confidence_interval
 from qmetro.cli import main
 from qmetro.config import PARSERS, ConfigError, ExperimentConfig, parse_config
 from qmetro.report import CSV_HEADER, ResultRow, format_number, render_csv, rows_from_sweep
@@ -352,6 +354,7 @@ INVALID_SETTINGS = [
     ("grid_size", "1e3", "1e3"),
     ("y", "1.5", "1.5"),
     ("y", "inf", "inf"),
+    ("y", "1e-17", "1e-17"),
     ("tau", "-0.5", "-0.5"),
     ("tau", "nan", "nan"),
     ("domain", "2.5,1.5", "2.5"),
@@ -424,9 +427,23 @@ CHANGED_SETTINGS = [
 
 
 @pytest.mark.parametrize("key, raw", CHANGED_SETTINGS, ids=[key for key, _ in CHANGED_SETTINGS])
-def test_every_sweep_key_reaches_the_cell(tmp_path, key, raw):
+def test_every_sweep_key_reaches_the_cell(tmp_path, monkeypatch, key, raw):
     # a cell that read a default in place of the record's value would write the same bytes
     cfg, out = tmp_path / "exp.cfg", tmp_path / "r.csv"
+    if key == "tau":
+        # tau is the tolerance the interval's mass is checked against, so it
+        # changes no output: each cell's interval search must be handed it
+        taus = []
+
+        def spy(grid, y, tau):
+            taus.append(tau)
+            return min_confidence_interval(grid, y, tau)
+
+        monkeypatch.setattr(ensemble, "min_confidence_interval", spy)
+        cfg.write_text(SMALL_CONFIG + f"{key}={raw}\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        assert taus and set(taus) == {float(raw)}
+        return
     outputs = []
     for extra in ("", f"{key}={raw}\n"):
         cfg.write_text(SMALL_CONFIG + extra)
