@@ -146,6 +146,14 @@ def check_interval_target(y: float, tau: float) -> None:
         raise ValueError(f"tau must be positive, got {tau}")
 
 
+def _cell_root(p_0, p_1, q):
+    """The stable root u of s(u) = p_0 u + (p_1 - p_0) u^2 / 2 = q, for
+    densities p_0 and p_1 in [0, 1] at the ends of a cell and q in
+    [0, (p_0 + p_1) / 2], with its denominator den: u = 2 q / den."""
+    den = p_0 + np.sqrt(p_0 * p_0 + 2.0 * (p_1 - p_0) * q)
+    return np.divide(2.0 * q, den, out=np.zeros_like(q), where=den > 0.0), den
+
+
 def min_confidence_interval(
     grid: PosteriorGrid,
     y: float = DEFAULT_Y,
@@ -159,8 +167,10 @@ def min_confidence_interval(
     hold less than y. The endpoint in lower density therefore moves inward
     within its end cell, where the density is linear and the mass up to the
     endpoint is a quadratic in it: the quadratic's stable root places the
-    endpoint where the mass is y. The other endpoint stays a node. Every row
-    of a block takes the same vectorised step.
+    endpoint where the mass is y. The other endpoint stays a node. When
+    [i, j] is one cell wide, so is every interval that ties with it, and the
+    cell whose part at its left node holds y over the least length wins.
+    Every row of a block takes the same vectorised step.
     """
     check_interval_target(y, tau)
     nodes = grid.nodes
@@ -180,6 +190,18 @@ def min_confidence_interval(
         right = np.searchsorted(c, targets[first:n_valid], side="left")
         k = np.argmin(nodes[right] - nodes[first:n_valid])
         i[r], j[r] = first + k, right[k]
+        if j[r] == i[r] + 1:
+            # Every cell that holds y alone ties with this one, up to the
+            # rounding of its width: rank them by the length of their part
+            # that starts at their left node and holds y, the part the step
+            # below places for a one-cell interval.
+            starts = first + np.flatnonzero(right == np.arange(first + 1, n_valid + 1))
+            d_0, d_1 = density[r, starts], density[r, starts + 1]
+            top, h = np.maximum(d_0, d_1), nodes[starts + 1] - nodes[starts]
+            p_0, p_1 = d_0 / top, d_1 / top
+            u, _ = _cell_root(p_0, p_1, np.clip(y / (h * top), 0.0, 0.5 * (p_0 + p_1)))
+            i[r] = starts[np.argmin(u * h)]
+            j[r] = i[r] + 1
     rows = np.arange(n_rows)
     # Shave the endpoint in lower density, which sheds the excess mass over
     # the greatest length, to x = x_0 + u h in its end cell [x_0, x_0 + h].
@@ -196,9 +218,8 @@ def min_confidence_interval(
     # what [i, j - 1] lacks of y when the right end moves
     kept = np.where(move_left, cumulative[rows, j], cumulative[rows, j - 1]) - cumulative[rows, i]
     q = np.clip(np.where(move_left, kept - y, y - kept) / unit, 0.0, 0.5 * (p_0 + p_1))
-    # the stable root; rounding can carry x_0 + u h past the cell's far node
-    den = p_0 + np.sqrt(p_0 * p_0 + 2.0 * (p_1 - p_0) * q)
-    u = np.divide(2.0 * q, den, out=np.zeros_like(q), where=den > 0.0)
+    u, den = _cell_root(p_0, p_1, q)
+    # rounding can carry x_0 + u h past the cell's far node
     x = np.minimum(nodes[cell] + u * h, nodes[cell + 1])
     # s(u) is u den / 2 at the root, which takes fewer roundings than its terms
     part = 0.5 * unit * u * den

@@ -2,8 +2,10 @@
 
 Seed contract: each (alpha, nu) sweep cell draws from one random stream,
 derived from the master seed, the bit pattern of the alpha value and the
-value of nu. The cell takes its angles in ascending order and draws all n_e
-count records of an angle in one batched multinomial. A cell's row
+value of nu. The cell evaluates the channel once, on all of its angles in
+ascending order, and then draws all n_e count records of each angle in one
+batched multinomial, angle by angle in that order; each angle's row of the
+batched table is bit-identical to that angle evaluated alone. A cell's row
 therefore depends only on the seed, its own alpha and nu, and the settings
 every cell shares (noise, angles, n_e, grid, y, tau): it is bit-identical
 regardless of execution order, worker count, or which other alphas and nus
@@ -50,7 +52,6 @@ interval column over the angles.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -65,7 +66,10 @@ from .bayes import (
     posterior_from_log_profiles,
 )
 from .config import ExperimentConfig
-from .quantum import NoiseModel, measurement_probabilities, profile_grid
+from .quantum import NoiseModel, profile_grid
+
+# unused here, but sweepbench/layertrace.py wraps ensemble.measurement_probabilities by name
+from .quantum import measurement_probabilities  # noqa: F401
 
 # the separable probe, which relative uncertainties are measured against
 BASELINE_ALPHA = 0.0
@@ -247,9 +251,9 @@ def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
     nodes, log_profiles, merge = grid_tables(alpha, noise, cfg.domain, cfg.grid_size)
     stream = trial_stream(cfg.seed, _alpha_key(alpha), nu)
     phis = sweep_angles(cfg)
-    counts = np.stack(
-        [sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, cfg.n_e, stream) for phi in phis]
-    )
+    # one channel evaluation per cell; a 1-D multinomial per angle draws the
+    # same as one 2-D call over the table would, and faster
+    counts = np.stack([sample_outcomes(p, nu, cfg.n_e, stream) for p in profile_grid(alpha, phis, noise)])
     # identical sufficient records yield identical estimates, at any angle:
     # solve each distinct one of the cell once
     records, inverse = _distinct_records(sufficient_records(counts.reshape(-1, 4), merge))
@@ -303,6 +307,8 @@ def sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[tuple[float, int], Sw
     tasks = [(cfg, alpha, int(nu)) for alpha in cfg.alphas for nu in cfg.nus]
     workers = min(workers, len(tasks))
     if workers > 1:
+        import concurrent.futures  # only here: a serial sweep never pays for the import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, tasks))
     else:

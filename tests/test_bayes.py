@@ -187,6 +187,17 @@ class TestMinConfidenceInterval:
                     if c[j] - c[i] >= 0.95:
                         assert nodes[j] - nodes[i] >= ci.length - 1e-12
 
+    @pytest.mark.parametrize("y", [0.01, 1e-4])
+    def test_one_cell_interval_at_density_peak(self, y):
+        # below the densest cell's mass, every cell that holds y alone ties
+        # at one cell width; the shortest part holding y starts at the peak
+        grid = posterior(0.5, [300, 40, 50, 310])
+        peak = np.argmax(grid.density)
+        assert grid.nodes[peak] == pytest.approx(1.2038, abs=1e-4)
+        ci = min_confidence_interval(grid, y)
+        assert grid.nodes[peak] in (ci.a, ci.b)
+        assert ci.length == pytest.approx(y / grid.density[peak], rel=0.01)
+
     def test_invalid_arguments(self):
         grid = posterior(0.5, [0, 0, 0, 0])
         # below MIN_Y, c + y rounds to c for a cumulative mass c near 1

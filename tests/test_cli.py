@@ -325,9 +325,10 @@ class TestSweepCommand:
     def test_import_loads_no_process_pool(self):
         # a serial run never starts a pool, so the CLI imports it only where one starts
         env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
-        code = "import sys, qmetro.cli; print('concurrent.futures.process' in sys.modules)"
+        modules = "'concurrent.futures', 'concurrent.futures.process'"
+        code = f"import sys, qmetro.cli; print([m in sys.modules for m in ({modules})])"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+        assert proc.returncode == 0 and proc.stdout.strip() == "[False, False]"
 
 
 # (key, invalid value, text naming it on stderr): out of range, non-finite,

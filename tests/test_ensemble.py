@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro.bayes import DEFAULT_GRID_SIZE, min_confidence_interval, posterior_from_log_profiles
+from qmetro import ensemble
 from qmetro.config import DEFAULT_DOMAIN, ExperimentConfig
 from qmetro.ensemble import (
     PROFILE_MATCH,
@@ -361,6 +362,31 @@ class TestSweep:
         sweep(cfg)
         # one grid-profile build per (alpha, noise, domain, grid) configuration
         assert grid_tables.cache_info().misses == 1
+
+    def test_one_channel_evaluation_per_cell(self, monkeypatch):
+        # a cell evaluates the channel once, on all of its angles; grid_tables
+        # adds one evaluation per table it builds
+        calls = {"profile_grid": 0, "measurement_probabilities": 0}
+
+        def spy(name):
+            wrapped = getattr(ensemble, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(ensemble, name, spy(name))
+        grid_tables.cache_clear()
+        cfg = ExperimentConfig(
+            alphas=(0.0, 0.5), eta=0.9, nus=(1, 2, 3), n_phi=4, n_e=5, seed=2, grid_size=64
+        )
+        sweep(cfg)
+        cells = len(cfg.alphas) * len(cfg.nus)
+        misses = grid_tables.cache_info().misses
+        assert calls == {"profile_grid": cells + misses, "measurement_probabilities": 0}
 
     def test_statistical_sanity(self):
         n_e = 300

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmetro.quantum import (
     NOISELESS,
@@ -243,6 +244,21 @@ class TestMeasurementProbabilities:
             oracle = np.diag(kraus_sequence_oracle(rho, nodes[idx], 0.8, 3)).real
             assert np.allclose(grid[idx], oracle, atol=1e-12)
         assert NOISELESS.eta == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        n_steps=st.integers(1, 5),
+        phis=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40),
+    )
+    def test_profile_grid_rows_match_lone_angles(self, alpha, eta, n_steps, phis):
+        # the seed contract: a sweep cell evaluates all of its angles in one
+        # batch and draws from each row as if that angle were evaluated alone
+        noise = NoiseModel(eta, n_steps)
+        grid = profile_grid(alpha, np.array(phis), noise)
+        for row, phi in zip(grid, phis):
+            assert row.tobytes() == measurement_probabilities(alpha, phi, noise).tobytes()
 
     @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.8, 3)], ids=["pure", "noisy"])
     def test_non_finite_angle_rejected(self, noise):
