@@ -159,72 +159,70 @@ def min_confidence_interval(
     y: float = DEFAULT_Y,
     tau: float = DEFAULT_TAU,
 ) -> ConfidenceInterval:
-    """Shortest interval holding posterior mass y, for each record of the grid;
-    a ConvergenceError names any record whose mass misses y by more than tau.
+    """Shortest interval with a node at one end that holds posterior mass y,
+    for each record of the grid; a ConvergenceError names any record whose
+    mass misses y by more than tau.
 
-    A two-pointer scan over the cumulative table finds the shortest
-    node-aligned interval [i, j] with mass >= y, so [i + 1, j] and [i, j - 1]
-    hold less than y. The endpoint in lower density therefore moves inward
-    within its end cell, where the density is linear and the mass up to the
-    endpoint is a quadratic in it: the quadratic's stable root places the
-    endpoint where the mass is y. The other endpoint stays a node. When
-    [i, j] is one cell wide, so is every interval that ties with it, and the
-    cell whose part at its left node holds y over the least length wins.
-    Every row of a block takes the same vectorised step.
+    A scan of the cumulative table gives each start node i the interval
+    [i, j] of fewest cells that holds y. Each interval of the fewest cells,
+    m, is shaved at either end to where it holds y, at the stable root of a
+    quadratic, as the density is linear in the end cell. The shortest shave
+    wins; ties go to the smaller start, then to the right end. Any other
+    interval with a node at one end spans m + k cells, k >= 1, so it is
+    longer than m + k - 1 >= m cells, and no shave is longer than m cells.
+    That needs cells of equal width, which grid_tables' evenly spaced nodes
+    have to about 1e-6 of a cell (its MIN_CELL_FLOATS floor).
     """
     check_interval_target(y, tau)
     nodes = grid.nodes
     density, cumulative = np.atleast_2d(grid.density), np.atleast_2d(grid.cumulative)
-    n_rows = len(cumulative)
-    i = np.empty(n_rows, dtype=np.intp)
-    j = np.empty(n_rows, dtype=np.intp)
-    for r, c in enumerate(cumulative):
+    steps = np.arange(len(nodes))
+    # the fewest cells from each searched start that hold y, row after row,
+    # written in place: a list to concatenate would hold them twice
+    cells, runs, filled = np.empty(cumulative.size, dtype=np.intp), [], 0
+    for c in cumulative:
         targets = c + y
         # The starts that reach mass y are those whose target stays within
         # the total c[-1] = 1: a prefix of n_valid >= 1, as c[0] = 0. The
         # starts up to `first` share the target of start 0 (their mass is
-        # below its rounding), hence one end and lengths that fall towards
-        # `first`: only `first` needs a search.
+        # below its rounding), hence one end and more cells than `first`:
+        # only `first` needs a search.
         first, n_valid = np.searchsorted(targets, (targets[0], c[-1]), side="right")
-        first -= 1
-        right = np.searchsorted(c, targets[first:n_valid], side="left")
-        k = np.argmin(nodes[right] - nodes[first:n_valid])
-        i[r], j[r] = first + k, right[k]
-        if j[r] == i[r] + 1:
-            # Every cell that holds y alone ties with this one, up to the
-            # rounding of its width: rank them by the length of their part
-            # that starts at their left node and holds y, the part the step
-            # below places for a one-cell interval.
-            starts = first + np.flatnonzero(right == np.arange(first + 1, n_valid + 1))
-            d_0, d_1 = density[r, starts], density[r, starts + 1]
-            top, h = np.maximum(d_0, d_1), nodes[starts + 1] - nodes[starts]
-            p_0, p_1 = d_0 / top, d_1 / top
-            u, _ = _cell_root(p_0, p_1, np.clip(y / (h * top), 0.0, 0.5 * (p_0 + p_1)))
-            i[r] = starts[np.argmin(u * h)]
-            j[r] = i[r] + 1
-    rows = np.arange(n_rows)
-    # Shave the endpoint in lower density, which sheds the excess mass over
-    # the greatest length, to x = x_0 + u h in its end cell [x_0, x_0 + h].
-    # Scaled by their larger one, D, so that nothing overflows, the cell's
-    # densities are p_0 and p_1, and [x_0, x] holds h D s(u) with
-    # s(u) = p_0 u + (p_1 - p_0) u^2 / 2.
-    move_left = (density[rows, i] <= density[rows, j]) & (j > i + 1)
-    cell = np.where(move_left, i, j - 1)
-    h = nodes[cell + 1] - nodes[cell]
-    d_0, d_1 = density[rows, cell], density[rows, cell + 1]
+        ends = np.searchsorted(c, targets[first - 1 : n_valid], side="left")
+        np.subtract(ends, steps[first - 1 : n_valid], out=cells[filled : filled + len(ends)])
+        runs.append((first - 1, len(ends)))
+        filled += len(ends)
+    firsts, sizes = np.array(runs).T
+    offsets, cells = np.cumsum(sizes) - sizes, cells[:filled]
+    fewest = np.minimum.reduceat(cells, offsets)
+    tied = np.flatnonzero(cells == np.repeat(fewest, sizes))
+    rows = np.searchsorted(offsets, tied, side="right") - 1
+    i = tied - (offsets - firsts)[rows]
+    rows, i, j = rows[:, None], i[:, None], (i + fewest[rows])[:, None]
+    # Shave each tied [i, j] at its right end (column 0) and its left end
+    # (column 1): grow [i, j - 1], or [i + 1, j], which holds less than y
+    # (else start i + 1 would need fewer cells), from its node `near` towards
+    # `far` = j, or i, to x = near + u (far - near), where [near, x] holds
+    # |far - near| D s(u): D, the larger density at near and far, scales
+    # them to p_0 and p_1, so that nothing overflows, and s is _cell_root's.
+    move_left = np.array([False, True])
+    lo, hi = i + move_left, j - 1 + move_left
+    near, far = np.where(move_left, lo, hi), np.where(move_left, i, j)
+    step = nodes[far] - nodes[near]
+    d_0, d_1 = density[rows, near], density[rows, far]
     top = np.maximum(d_0, d_1)  # > 0: the end cell holds mass
-    p_0, p_1, unit = d_0 / top, d_1 / top, h * top
-    # s(u) = q, the excess of [i, j] over y when the left end moves, or
-    # what [i, j - 1] lacks of y when the right end moves
-    kept = np.where(move_left, cumulative[rows, j], cumulative[rows, j - 1]) - cumulative[rows, i]
-    q = np.clip(np.where(move_left, kept - y, y - kept) / unit, 0.0, 0.5 * (p_0 + p_1))
-    u, den = _cell_root(p_0, p_1, q)
-    # rounding can carry x_0 + u h past the cell's far node
-    x = np.minimum(nodes[cell] + u * h, nodes[cell + 1])
+    p_0, p_1, unit = d_0 / top, d_1 / top, np.abs(step) * top
+    kept = cumulative[rows, hi] - cumulative[rows, lo]
+    u, den = _cell_root(p_0, p_1, np.clip((y - kept) / unit, 0.0, 0.5 * (p_0 + p_1)))
+    # rounding can carry the end past the far node
+    x = np.clip(nodes[near] + u * step, nodes[np.minimum(near, far)], nodes[np.maximum(near, far)])
     # s(u) is u den / 2 at the root, which takes fewer roundings than its terms
-    part = 0.5 * unit * u * den
-    a, b = np.where(move_left, x, nodes[i]), np.where(move_left, nodes[j], x)
-    mass = np.where(move_left, kept - part, kept + part)
+    mass = (kept + 0.5 * unit * u * den).ravel()
+    # the candidates in tie order, by start, the right end's shave first: a
+    # stable sort by row, then length, puts each row's winner at its first
+    a, b = np.where(move_left, x, nodes[i]).ravel(), np.where(move_left, nodes[j], x).ravel()
+    best = np.lexsort((b - a, np.repeat(rows, 2)))[2 * np.searchsorted(rows[:, 0], np.arange(len(cumulative)))]
+    a, b, mass = a[best], b[best], mass[best]
     missed = np.flatnonzero(np.abs(mass - y) > tau)
     if missed.size:
         r = missed[0]

@@ -132,9 +132,12 @@ def posterior_loop(nodes, log_profiles, counts):
     return density / cumulative[-1], cumulative / cumulative[-1]
 
 
-def min_confidence_interval_loop(nodes, density, cumulative, y, tau, max_refine=100):
-    """One record's shortest interval (a, b, mass): every node-aligned start
-    searched, then the lower-density endpoint bisected one scalar step at a time."""
+def min_confidence_interval_loop(nodes, density, cumulative, y, tau):
+    """One record's shortest interval (a, b, mass) with a node at one end, by
+    brute force: from every start node the right end, and from every end node
+    the left end, bisected one scalar step at a time until the interval holds
+    y to within tau. A candidate is skipped only when the nodes it must span
+    already make it longer than the best so far."""
 
     def cumulative_at(x):
         if x <= nodes[0]:
@@ -146,32 +149,34 @@ def min_confidence_interval_loop(nodes, density, cumulative, y, tau, max_refine=
         d_at_x = density[c] + (density[c + 1] - density[c]) * t / (nodes[c + 1] - nodes[c])
         return float(cumulative[c] + 0.5 * (density[c] + d_at_x) * t)
 
-    n = len(nodes)
-    right = np.searchsorted(cumulative, cumulative + y, side="left")
-    lengths = np.where(right < n, nodes[np.minimum(right, n - 1)] - nodes, np.inf)
-    i = int(np.argmin(lengths))
-    j = int(right[i])
-    best = (float(nodes[i]), float(nodes[j]), float(cumulative[j] - cumulative[i]))
-    if abs(best[2] - y) <= tau:
-        return best
-    a, b = best[:2]
-    move_left = density[i] <= density[j] and j > i + 1
-    lo, hi = (float(nodes[i]), float(nodes[i + 1])) if move_left else (float(nodes[j - 1]), b)
-    for _ in range(max_refine):
-        mid = 0.5 * (lo + hi)
-        if move_left:
-            candidate = (mid, b, cumulative_at(b) - cumulative_at(mid))
+    candidates = []  # (least length, anchored node, moving end's node inside and outside)
+    for s in range(len(nodes) - 1):
+        # the right end of [s, .] lies in the cell before the first node that holds y
+        reach = np.flatnonzero(cumulative[s + 1 :] - cumulative[s] >= y)
+        if reach.size:
+            e = s + 1 + int(reach[0])
+            candidates.append((nodes[e - 1] - nodes[s], nodes[s], nodes[e - 1], nodes[e]))
+    for e in range(1, len(nodes)):
+        reach = np.flatnonzero(cumulative[e] - cumulative[:e] >= y)
+        if reach.size:
+            s = int(reach[-1])
+            candidates.append((nodes[e] - nodes[s + 1], nodes[e], nodes[s + 1], nodes[s]))
+    best = (-np.inf, np.inf, np.nan)
+    for least, anchor, inside, outside in sorted(candidates, key=lambda candidate: candidate[0]):
+        if least > best[1] - best[0]:
+            break
+        # [anchor, end] holds less than y with its end inside, at least y outside
+        for _ in range(200):
+            end = 0.5 * (inside + outside)
+            mass = abs(cumulative_at(end) - cumulative_at(anchor))
+            if abs(mass - y) <= tau:
+                break
+            inside, outside = (end, outside) if mass < y else (inside, end)
         else:
-            candidate = (a, mid, cumulative_at(mid) - cumulative_at(a))
-        if abs(candidate[2] - y) <= tau:
-            return candidate
-        if abs(candidate[2] - y) < abs(best[2] - y):
-            best = candidate
-        if (candidate[2] > y) == move_left:
-            lo = mid
-        else:
-            hi = mid
-    raise AssertionError(f"no convergence in {max_refine} bisections, best {best}")
+            raise AssertionError(f"no end within {tau} of {y} from the node at {anchor}")
+        if abs(end - anchor) < best[1] - best[0]:
+            best = (min(anchor, end), max(anchor, end), mass)
+    return tuple(float(v) for v in best)
 
 
 def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
