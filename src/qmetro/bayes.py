@@ -99,13 +99,11 @@ def posterior_from_log_profiles(
     patterns = (nonzero @ (1 << np.arange(block.shape[1]))).tolist()
     columns = {}  # log_profiles restricted to each pattern of nonzero counts
     for row, sel, pattern, out in zip(block.astype(float), nonzero, patterns, density):
-        if not pattern:
-            out[:] = 0.0
-            continue
         # one BLAS matvec over the row's nonzero counts, the same call for a
         # lone record and for a block row: zeros never meet a log(0), and
         # every row keeps the BLAS kernel's rounding (fused multiply-adds),
-        # which an element-wise sum over the outcomes would not reproduce
+        # which an element-wise sum over the outcomes would not reproduce;
+        # an all-zero record selects no column, and the product writes 0.0
         if pattern not in columns:
             columns[pattern] = log_profiles[:, sel]
         np.matmul(columns[pattern], row[sel], out=out)
@@ -176,28 +174,27 @@ def min_confidence_interval(
     check_interval_target(y, tau)
     nodes = grid.nodes
     density, cumulative = np.atleast_2d(grid.density), np.atleast_2d(grid.cumulative)
-    steps = np.arange(len(nodes))
-    # the fewest cells from each searched start that hold y, row after row,
-    # written in place: a list to concatenate would hold them twice
-    cells, runs, filled = np.empty(cumulative.size, dtype=np.intp), [], 0
-    for c in cumulative:
-        targets = c + y
-        # The starts that reach mass y are those whose target stays within
-        # the total c[-1] = 1: a prefix of n_valid >= 1, as c[0] = 0. The
-        # starts up to `first` share the target of start 0 (their mass is
-        # below its rounding), hence one end and more cells than `first`:
-        # only `first` needs a search.
-        first, n_valid = np.searchsorted(targets, (targets[0], c[-1]), side="right")
-        ends = np.searchsorted(c, targets[first - 1 : n_valid], side="left")
-        np.subtract(ends, steps[first - 1 : n_valid], out=cells[filled : filled + len(ends)])
-        runs.append((first - 1, len(ends)))
-        filled += len(ends)
-    firsts, sizes = np.array(runs).T
-    offsets, cells = np.cumsum(sizes) - sizes, cells[:filled]
-    fewest = np.minimum.reduceat(cells, offsets)
-    tied = np.flatnonzero(cells == np.repeat(fewest, sizes))
-    rows = np.searchsorted(offsets, tied, side="right") - 1
-    i = tied - (offsets - firsts)[rows]
+    # Each row's targets are nondecreasing, so a count of those at most a
+    # value is where a right-sided search would put it. The starts that
+    # reach mass y are those whose target stays within the total c[-1] = 1:
+    # a prefix of n_valid >= 1, as c[0] = 0. The starts up to `first` share
+    # the target of start 0 (their mass is below its rounding), hence one end
+    # and more cells than `first`: only `first` needs a search.
+    targets = cumulative + y
+    first = np.count_nonzero(targets <= targets[:, :1], axis=1) - 1
+    n_valid = np.count_nonzero(targets <= cumulative[:, -1:], axis=1)
+    # freed before the cells table is built: with both block-sized tables
+    # held at once, the allocator hands memory back after every block of a
+    # sweep and takes page faults to get it again
+    del targets
+    # the fewest cells from each searched start that hold y; a start not
+    # searched gets more cells than any interval spans
+    cells = np.full(cumulative.shape, len(nodes))
+    for c, f, n, out in zip(cumulative, first.tolist(), n_valid.tolist(), cells):
+        out[f:n] = np.searchsorted(c, c[f:n] + y, side="left") - np.arange(f, n)
+    fewest = cells.min(axis=1)
+    # the tied starts, by row and then by start
+    rows, i = np.divmod(np.flatnonzero(cells == fewest[:, None]), len(nodes))
     rows, i, j = rows[:, None], i[:, None], (i + fewest[rows])[:, None]
     # Shave each tied [i, j] at its right end (column 0) and its left end
     # (column 1): grow [i, j - 1], or [i + 1, j], which holds less than y

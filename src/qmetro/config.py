@@ -7,6 +7,7 @@ alike. The library code that takes a value checks its range.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .bayes import DEFAULT_GRID_SIZE, DEFAULT_TAU, DEFAULT_Y
@@ -99,7 +100,8 @@ PARSERS = {
 def _entries(source: str, flags: dict[str, str | None]):
     """(key, raw value, where it was set) for each config line, then each flag given."""
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        # a '#' inside a value, as in output=run#3.csv, is part of the value
+        line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -115,9 +117,9 @@ def _entries(source: str, flags: dict[str, str | None]):
 
 
 def parse_config(source: str, flags: dict[str, str | None] | None = None) -> ExperimentConfig:
-    """Parse a key=value document (one entry per line, '#' comments), then
-    the raw values of CLI flags by key, which override it; a None flag is
-    not given.
+    """Parse a key=value document (one entry per line; a '#' at the start of
+    a line or after whitespace opens a comment), then the raw values of CLI
+    flags by key, which override it; a None flag is not given.
 
     Unknown keys and malformed values raise ConfigError naming the offending
     key and line, or the flag (--n-steps for n_steps).

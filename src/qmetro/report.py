@@ -45,31 +45,15 @@ def rows_from_sweep(result: dict[tuple[float, int], SweepRow]) -> list[ResultRow
     return rows
 
 
-def _optional_text(value: float | None) -> str:
-    return "" if value is None else format_number(value)
-
-
-def _phi_text(phi: float | None) -> str:
-    return MEAN_TOKEN if phi is None else format_number(phi)
-
-
-# the formatter of each ResultRow field; ints are written whole, since
-# format_number would write a nu of 10**12 or more in exponent form
-_FORMATTERS = (
-    format_number,
-    format_number,
-    str,
-    str,
-    _phi_text,
-    _optional_text,
-    _optional_text,
-    format_number,
-    _optional_text,
-    _optional_text,
-)
+def _text(field: str, value: int | float | None) -> str:
+    """A field's CSV text: ints whole, since format_number would write a nu of
+    10**12 or more in exponent form; None blank, or MEAN_TOKEN as phi_true."""
+    if value is None:
+        return MEAN_TOKEN if field == "phi_true" else ""
+    return str(value) if isinstance(value, int) else format_number(value)
 
 
 def render_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
-    lines += [",".join(fmt(v) for fmt, v in zip(_FORMATTERS, r)) for r in rows]
+    lines += [",".join(_text(f, v) for f, v in zip(ResultRow._fields, r)) for r in rows]
     return "\n".join(lines) + "\n"

@@ -61,6 +61,19 @@ class TestParseConfig:
         assert cfg.seed == 7
         assert cfg.domain[1] == pytest.approx(3.14159)
 
+    def test_hash_inside_value_is_kept(self):
+        # a config line and the flag that sets the same key read a value alike
+        cfg = parse_config("output=run#3.csv\n#output=x.csv\noutput=run#3.csv\t# tab-led comment")
+        assert cfg.output == "run#3.csv" == parse_config("", {"output": "run#3.csv"}).output
+
+    def test_hash_glued_to_number_named(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^line 1: key 'alphas': not a number: '0\.5#x'$"):
+            parse_config("alphas=0,0.5#x")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("alphas=0,0.5#x\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == 2
+        assert "'0.5#x'" in capsys.readouterr().err
+
     def test_bad_domain(self):
         cfg = parse_config("domain=2,1")
         with pytest.raises(ValueError, match=r"lo < hi, got \(2\.0, 1\.0\)"):
