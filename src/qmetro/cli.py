@@ -82,9 +82,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             ("absolute", "mean_mu_l_ci", cfg.alphas,
              f"Uncertainty vs measurements (eta={eta})", "mean uncertainty (rad)", ()),
         ]
-        if baseline in cfg.alphas:
+        probes = [a for a in cfg.alphas if a != baseline]
+        if baseline in cfg.alphas and probes:
             plots.append(
-                ("relative", "baseline_ratio", [a for a in cfg.alphas if a != baseline],
+                ("relative", "baseline_ratio", probes,
                  f"Relative uncertainty (eta={eta})", "relative uncertainty",
                  [("1/sqrt(2)", ensemble.asymptotic_relative_bound(2))])
             )

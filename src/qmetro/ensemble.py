@@ -3,9 +3,9 @@
 Seed contract: each (alpha, nu) sweep cell draws from one random stream,
 derived from the master seed, the bit pattern of the alpha value and the
 value of nu. The cell evaluates the channel once, on all of its angles in
-ascending order, and then draws all n_e count records of each angle in one
-batched multinomial, angle by angle in that order; each angle's row of the
-batched table is bit-identical to that angle evaluated alone. A cell's row
+ascending order, and then draws all of its count records in one multinomial
+call, n_e per angle, angle by angle in that order; each angle's row of the
+channel's table is bit-identical to that angle evaluated alone. A cell's row
 therefore depends only on the seed, its own alpha and nu, and the settings
 every cell shares (noise, angles, n_e, grid, y, tau): it is bit-identical
 regardless of execution order, worker count, or which other alphas and nus
@@ -121,12 +121,14 @@ def _alpha_key(alpha: float) -> int:
 
 
 def sample_outcomes(
-    profile: np.ndarray, nu: int, n_draws: int, stream: np.random.Generator
+    profiles: np.ndarray, nu: int, n_draws: int, stream: np.random.Generator
 ) -> np.ndarray:
-    """n_draws independent count records of nu outcomes each, weighted by the
-    profile; shape (n_draws, 4)."""
-    p = np.clip(np.asarray(profile, dtype=float), 0.0, None)
-    return stream.multinomial(nu, p / p.sum(), size=n_draws)
+    """n_draws independent count records of nu outcomes each, weighted by each
+    renormalised row of profiles: shape (n_draws, 4) for one row, (n_phi,
+    n_draws, 4) for an (n_phi, 4) table, whose rows are drawn in order."""
+    p = np.asarray(profiles, dtype=float)
+    p = p / p.sum(axis=-1, keepdims=True)
+    return stream.multinomial(nu, p[..., None, :], size=p.shape[:-1] + (n_draws,))
 
 
 def _merged_table(profiles: np.ndarray, to_columns: np.ndarray, columns: np.ndarray):
@@ -251,9 +253,7 @@ def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
     nodes, log_profiles, merge = grid_tables(alpha, noise, cfg.domain, cfg.grid_size)
     stream = trial_stream(cfg.seed, _alpha_key(alpha), nu)
     phis = sweep_angles(cfg)
-    # one channel evaluation per cell; a 1-D multinomial per angle draws the
-    # same as one 2-D call over the table would, and faster
-    counts = np.stack([sample_outcomes(p, nu, cfg.n_e, stream) for p in profile_grid(alpha, phis, noise)])
+    counts = sample_outcomes(profile_grid(alpha, phis, noise), nu, cfg.n_e, stream)
     # identical sufficient records yield identical estimates, at any angle:
     # solve each distinct one of the cell once
     records, inverse = _distinct_records(sufficient_records(counts.reshape(-1, 4), merge))

@@ -96,16 +96,13 @@ def profile_grid(alpha: float, phis: np.ndarray, noise: NoiseModel = NOISELESS) 
     """Outcome probabilities for each angle in phis, shape (len(phis), 4).
 
     Noiseless probes go through the pure-amplitude path; noisy probes through
-    the density-matrix channel. Rows are clamped to [0, 1].
+    the density-matrix channel.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if noise.eta == 1.0:
-        amps = _rotation_batch(phis) @ probe_state(alpha)
-        probs = np.abs(amps) ** 2
-    else:
-        rho = noisy_rotation(pure_to_density(probe_state(alpha)), phis, noise)
-        probs = np.diagonal(rho, axis1=1, axis2=2).real
-    return np.clip(probs, 0.0, 1.0)
+        return np.abs(_rotation_batch(phis) @ probe_state(alpha)) ** 2
+    rho = noisy_rotation(pure_to_density(probe_state(alpha)), phis, noise)
+    return np.diagonal(rho, axis1=1, axis2=2).real
 
 
 def measurement_probabilities(alpha: float, phi: float, noise: NoiseModel = NOISELESS) -> np.ndarray:

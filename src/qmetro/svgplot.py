@@ -15,11 +15,9 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_plot(
@@ -40,7 +38,8 @@ def line_plot(
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        # an integer 1: a float 1.0 rounds away at a nu of 2**53 or more
+        x_hi = x_lo + 1
     pad = 0.05 * (y_hi - y_lo) or 0.5
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -8,8 +8,11 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import betainc
 
 from qmetro.bayes import check_counts, min_confidence_interval, most_probable, posterior_from_log_profiles
+from qmetro.config import DEFAULT_DOMAIN
 from qmetro.ensemble import (
     SweepRow,
     _alpha_key,
@@ -179,17 +182,83 @@ def min_confidence_interval_loop(nodes, density, cumulative, y, tau):
     return tuple(float(v) for v in best)
 
 
+def binomial_interval(alpha, record, y):
+    """The shortest interval (a, b) that holds mass y of the exact posterior of
+    a noiseless binomial probe (alpha in {0, 1/2, 1}) on DEFAULT_DOMAIN
+    [0, pi/2] under the uniform prior, with no grid.
+
+    record is the probe's two-class sufficient record. Class 0 of the Bell
+    probe (dd, uu) has probability t = sin^2 phi; a separable probe flips each
+    qubit with probability t = sin^2(phi/2), class 0 for alpha = 0 and class 1
+    for alpha = 1. With k of the record's n counts at probability t, the
+    density of phi is proportional to t^k (1 - t)^(n - k), and the uniform
+    prior on phi makes t's posterior Beta(k + 1/2, n - k + 1/2), truncated to
+    t <= 1/2 for a separable probe. A phi interval's mass is thus a difference
+    of regularised incomplete beta functions at its ends: of the lower tails
+    below the median, of the upper tails above it, each taken from sin^2 or
+    cos^2 so that neither tail is a difference from 1.
+
+    The density is unimodal in phi, so the shortest interval is a level set:
+    both ends at the same density, or one on the domain's edge. Root-finding
+    gives each end at a density level, and the level at which the ends hold y.
+    Raises if the posterior mass on the domain underflows, which only a
+    separable record far above half flipped reaches (90% at nu = 1000).
+    """
+    k, rest = record[::-1] if alpha == 1.0 else record
+    n = k + rest
+    if alpha not in (0.0, 0.5, 1.0) or n < 1 or not 0.0 < y < 1.0:
+        raise ValueError(f"need alpha in {{0, 0.5, 1}}, n >= 1 and y in (0, 1), got {alpha}, {record}, {y}")
+    scale = 1.0 if alpha == 0.5 else 0.5  # t = sin^2(scale * phi)
+    lo, hi = DEFAULT_DOMAIN
+
+    def log_density(phi):
+        """log(t^k (1 - t)^(n - k)), with 0 log 0 = 0."""
+        return sum(
+            2 * count * (math.log(x) if x else -math.inf)
+            for count, x in ((k, math.sin(scale * phi)), (rest, math.cos(scale * phi)))
+            if count
+        )
+
+    def lower(phi):
+        return betainc(k + 0.5, rest + 0.5, math.sin(scale * phi) ** 2)
+
+    def upper(phi):
+        return betainc(rest + 0.5, k + 0.5, math.cos(scale * phi) ** 2)
+
+    def mass(a, b):
+        return upper(a) - upper(b) if lower(a) > 0.5 else lower(b) - lower(a)
+
+    total = mass(lo, hi)
+    if total < np.finfo(float).tiny:
+        raise ValueError(f"the posterior mass of {record} on the domain underflows: {total}")
+    mode = min(math.asin(math.sqrt(k / n)) / scale, hi)
+    peak = log_density(mode)
+    tight = 4 * np.finfo(float).eps
+
+    def ends(level):
+        """The interval where the density is at least level times its peak."""
+
+        def excess(phi):
+            return math.exp(log_density(phi) - peak) - level
+
+        a = lo if excess(lo) >= 0.0 else brentq(excess, lo, mode, xtol=1e-300, rtol=tight)
+        b = hi if excess(hi) >= 0.0 else brentq(excess, mode, hi, xtol=1e-300, rtol=tight)
+        return a, b
+
+    return ends(brentq(lambda level: mass(*ends(level)) / total - y, 0.0, 1.0, xtol=1e-300, rtol=tight))
+
+
 def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
     """Exact expectation of a sweep row's mean_mu_l_ci, and n_e times its variance.
 
     Enumerates every count record of nu outcomes, weights it by its
-    4-outcome multinomial probability at each true angle under the clipped,
+    4-outcome multinomial probability at each true angle under the
     renormalised profile the sweep samples from, and scores its sufficient
     record with the program's posterior and shortest-interval search.
     """
 
     def sampled_profile(phi):
-        p = np.clip(measurement_probabilities(alpha, phi, noise), 0.0, None)
+        p = measurement_probabilities(alpha, phi, noise)
         return p / p.sum()
 
     nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
@@ -252,7 +321,7 @@ def _phi_float(text):
     return None if text == MEAN_TOKEN else float(text)
 
 
-# the parser of each ResultRow field, the inverse of report's formatters
+# the parser of each ResultRow field, the inverse of report._text
 CSV_PARSERS = (
     float, float, int, int, _phi_float, _optional_float, _optional_float, float, _optional_float, _optional_float,
 )

@@ -21,6 +21,7 @@ from qmetro.ensemble import grid_tables, sufficient_records
 from qmetro.quantum import NOISELESS, NoiseModel, measurement_probabilities
 
 from oracles import (
+    binomial_interval,
     interval_probability,
     likelihood,
     min_confidence_interval_loop,
@@ -187,7 +188,7 @@ class TestMinConfidenceInterval:
     def test_grid_level_optimality(self, alpha, eta, nu, phi, y, grid_size, seed):
         noise = NoiseModel(eta, 5)
         nodes, log_profiles, merge = grid_tables(alpha, noise, (0.0, HALF_PI), grid_size)
-        p = np.clip(measurement_probabilities(alpha, phi, noise), 0.0, None)
+        p = measurement_probabilities(alpha, phi, noise)
         record = np.random.default_rng(seed).multinomial(nu, p / p.sum())
         grid = posterior_from_log_profiles(nodes, log_profiles, sufficient_records(record, merge))
         ci = min_confidence_interval(grid, y)
@@ -271,13 +272,71 @@ class TestMinConfidenceInterval:
         assert diffs.mean() <= 3 * sem
 
 
+# the grid's interval length over the gridless one, less 1, in units of
+# nu / G^2: at most 2.03 over binomial_records() at G = 1024 and 2048
+GRID_EXCESS = 2.5
+
+
+def binomial_records():
+    """(alpha, nu, sufficient record) of the binomial probes, from the edge
+    phi = 0 to a separable record whose density peaks past pi/2."""
+    for nu in (1, 10, 100, 1000):
+        for share in (0.0, 0.05, 0.3, 0.5, 1.0):
+            m = round(share * nu)
+            yield 0.5, nu, (m, nu - m)
+        for share in (0.0, 0.05, 0.3, 0.6):
+            m = round(share * 2 * nu)
+            yield 0.0, nu, (m, 2 * nu - m)
+            yield 1.0, nu, (2 * nu - m, m)
+
+
+def grid_excess(alpha, record, grid_size, length):
+    """How much longer the grid's shortest 95% interval of a sufficient record is than length, relatively."""
+    nodes, log_profiles, _ = grid_tables(alpha, NOISELESS, (0.0, HALF_PI), grid_size)
+    grid = posterior_from_log_profiles(nodes, log_profiles, record)
+    return min_confidence_interval(grid, 0.95).length / length - 1.0
+
+
+class TestGridlessReference:
+    def test_grid_overstates_length_by_its_resolution(self):
+        # every grid interval is longer than the exact one, by O(nu / G^2)
+        shrink = []
+        for alpha, nu, record in binomial_records():
+            a, b = binomial_interval(alpha, record, 0.95)
+            excess = [grid_excess(alpha, record, g, b - a) for g in (1024, 2048)]
+            for g, e in zip((1024, 2048), excess):
+                assert 0.0 < e <= GRID_EXCESS * nu / g**2, (alpha, record, g)
+            shrink.append(excess[0] / excess[1])
+        # doubling G shrinks the excess of a record by 1.6x to 7.1x, 3.8x on average
+        assert min(shrink) > 1.0
+        assert 3.0 <= np.exp(np.mean(np.log(shrink))) <= 5.0
+
+    @pytest.mark.parametrize("alpha, nu, record", [(0.5, 10, (3, 7)), (0.0, 10, (2, 18))], ids=["bell", "separable"])
+    def test_brute_force_on_a_fine_grid(self, alpha, nu, record):
+        # the independent brute force on 16384 nodes, where it takes ~0.5 s
+        grid_size = 16384
+        nodes, log_profiles, _ = grid_tables(alpha, NOISELESS, (0.0, HALF_PI), grid_size)
+        density, cumulative = posterior_loop(nodes, log_profiles, np.array(record))
+        a, b, _ = min_confidence_interval_loop(nodes, density, cumulative, 0.95, 1e-12)
+        exact_a, exact_b = binomial_interval(alpha, record, 0.95)
+        assert 0.0 < (b - a) / (exact_b - exact_a) - 1.0 <= GRID_EXCESS * nu / grid_size**2
+
+    def test_unsolvable_records_rejected(self):
+        for alpha, record in ((0.3, (3, 7)), (0.5, (0, 0))):
+            with pytest.raises(ValueError, match="need alpha"):
+                binomial_interval(alpha, record, 0.95)
+        # its mass below t = 1/2 is about 1e-602
+        with pytest.raises(ValueError, match="underflows"):
+            binomial_interval(0.0, (2000, 0), 0.95)
+
+
 def sampled_records(alpha, noise, nus, per_nu, seed):
     """Count records drawn from the probe's own outcome distribution at random angles."""
     rng = np.random.default_rng(seed)
     records = []
     for nu in nus:
         for phi in rng.uniform(0.0, HALF_PI, per_nu):
-            p = np.clip(measurement_probabilities(alpha, phi, noise), 0.0, None)
+            p = measurement_probabilities(alpha, phi, noise)
             records.append(rng.multinomial(nu, p / p.sum()))
     return np.array(records)
 
@@ -496,7 +555,7 @@ def test_end_cell_root(alpha, eta, grid_size, y, nus, tie, seed):
     noise = NoiseModel(eta, 5)
     nodes, log_profiles, merge = grid_tables(alpha, noise, (0.0, HALF_PI), grid_size)
     # concentrated at pi/4, so that the lowest starts share start 0's target
-    p = np.clip(measurement_probabilities(alpha, np.pi / 4, noise), 0.0, None)
+    p = measurement_probabilities(alpha, np.pi / 4, noise)
     concentrated = np.random.default_rng(seed).multinomial(400, p / p.sum())
     # a tied posterior, and equal counts: symmetric about pi/4 for the Bell probe
     records = [[0, 0, 0, 0], [tie] * 4, concentrated, *sampled_records(alpha, noise, nus, 1, seed)]

@@ -329,11 +329,23 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_largest_nu_runs(self, tmp_path, config_path):
-        # twice the largest total fits int64, so a product table takes it
+        # twice the largest total fits int64, so a product table takes it; the
+        # plots widen the one nu's x range by a 1 that survives at that size
         config_path.write_text(SMALL_CONFIG + f"nus={2**62 - 1}\n")
         out = tmp_path / "r.csv"
-        assert main(["sweep", "--config", str(config_path), "--output", str(out)]) == 0
+        assert main(["sweep", "--config", str(config_path), "--output", str(out), "--plot"]) == 0
         assert f",{2**62 - 1},mean," in out.read_text()
+        # one point per plotted probe
+        for suffix, probes in (("absolute", 2), ("relative", 1)):
+            assert (tmp_path / f"r_{suffix}.svg").read_text().count("<circle") == probes
+
+    def test_baseline_alone_plots_absolute_only(self, tmp_path, config_path):
+        # a relative plot needs a probe besides the baseline to draw
+        config_path.write_text("alphas=0\nnus=1,2\nn_e=5\nn_phi=2\ngrid_size=64\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config_path), "--output", str(out), "--plot"]) == 0
+        assert (tmp_path / "r_absolute.svg").read_text().count("<circle") == 2
+        assert not (tmp_path / "r_relative.svg").exists()
 
     def test_import_loads_no_process_pool(self):
         # a serial run never starts a pool, so the CLI imports it only where one starts

@@ -49,9 +49,27 @@ class TestSampleOutcomes:
         assert np.all(counts.sum(axis=1) == nu)
         assert np.all(np.abs(counts - nu * 0.25) < 5 * sigma)
 
-    def test_negative_profile_entries_clamped(self):
-        counts = sample_outcomes(np.array([-1e-13, 0.5, 0.5, 0.0]), 10, 20, trial_stream(3, 0))
-        assert np.all(counts.sum(axis=1) == 10) and np.all(counts[:, 0] == 0)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda p: sum(p) > 0),
+            min_size=1,
+            max_size=6,
+        ),
+        nu=st.integers(0, ensemble.MAX_COUNT),
+        n_draws=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=[[0.25] * 4, [0.0, 1.0, 0.0, 0.0]], nu=0, n_draws=3, seed=0)
+    @example(rows=[[0.1, 0.2, 0.3, 0.4], [1e-300, 0.5, 0.5, 0.0]], nu=ensemble.MAX_COUNT, n_draws=2, seed=1)
+    def test_table_draws_rows_in_order(self, rows, nu, n_draws, seed):
+        # the seed contract: a cell's one draw over its angles' table takes the
+        # same records as drawing each angle's row in turn from the same stream
+        table = sample_outcomes(np.array(rows), nu, n_draws, trial_stream(seed, 0))
+        stream = trial_stream(seed, 0)
+        for drawn, row in zip(table, rows):
+            assert drawn.tolist() == sample_outcomes(np.array(row), nu, n_draws, stream).tolist()
+        assert table.shape == (len(rows), n_draws, 4) and np.all(table.sum(axis=2) == nu)
 
     def test_one_record_per_row(self):
         counts = sample_outcomes(np.array([0.1, 0.2, 0.3, 0.4]), 9, 50, trial_stream(4, 0))

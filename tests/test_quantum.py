@@ -259,6 +259,9 @@ class TestMeasurementProbabilities:
         grid = profile_grid(alpha, np.array(phis), noise)
         for row, phi in zip(grid, phis):
             assert row.tobytes() == measurement_probabilities(alpha, phi, noise).tobytes()
+        # each row is a probability distribution as computed, with no clamping
+        assert np.all((grid >= 0.0) & (grid <= 1.0))
+        assert np.all(np.abs(grid.sum(axis=1) - 1.0) <= 1e-10)
 
     @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(0.8, 3)], ids=["pure", "noisy"])
     def test_non_finite_angle_rejected(self, noise):
