@@ -23,6 +23,10 @@ DEFAULT_Y = 0.95  # posterior mass of the confidence interval
 DEFAULT_TAU = 1e-3  # tolerance the interval's mass is checked against
 # the least target mass that changes a cumulative mass it is added to, 1 included
 MIN_Y = 2.0**-53
+# exp rounds to exactly 0.0 below about -745.13 (half the least subnormal,
+# 2**-1075), so a shifted log density below this is written 0.0 without an
+# exp, whose subnormal and underflowing results are its slowest
+EXP_UNDERFLOW = -746.0
 
 
 class DegenerateEvidenceError(ValueError):
@@ -112,7 +116,9 @@ def posterior_from_log_profiles(
     if dead.size:
         raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {block[dead[0]].tolist()}")
     density -= peak[:, None]
-    np.exp(density, out=density)
+    live = density > EXP_UNDERFLOW
+    np.exp(density, out=density, where=live)
+    density[~live] = 0.0
     # trapezoid segment masses, segment k at column k + 1, summed along the
     # flat buffer so no step is strided; the sums that straddle two rows
     # land in column 0, which the zero width of its step clears

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 computation error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -152,5 +153,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """The process entry point: main, then exit without the interpreter's
+    final collection. gc.freeze moves every live object, numpy's import
+    included, to the permanent generation, which no collection traverses.
+    main closes every file it writes before it returns, and the interpreter
+    flushes stdout and stderr itself; main stays free of this, since tests
+    call it in-process."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

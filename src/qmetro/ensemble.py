@@ -1,15 +1,24 @@
 """Monte Carlo ensembles: seeded outcome sampling, per-record estimates, and sweeps.
 
-Seed contract: each (alpha, nu) sweep cell draws from one random stream,
-derived from the master seed, the bit pattern of the alpha value and the
-value of nu. The cell evaluates the channel once, on all of its angles in
-ascending order, and then draws all of its count records in one multinomial
-call, n_e per angle, angle by angle in that order; each angle's row of the
-channel's table is bit-identical to that angle evaluated alone. A cell's row
-therefore depends only on the seed, its own alpha and nu, and the settings
-every cell shares (noise, angles, n_e, grid, y, tau): it is bit-identical
-regardless of execution order, worker count, or which other alphas and nus
-share the sweep.
+Seed contract (v2): each (alpha, nu) sweep cell draws from one random
+stream, derived from the master seed, the bit pattern of the alpha value and
+the value of nu. The cell evaluates the channel once, on all of its angles in
+ascending order; each angle's row of the channel's table is bit-identical to
+that angle evaluated alone. It then makes one multinomial call, angle by
+angle in that order, in one of two ways:
+
+- A cell whose table of 4-count records is small, C(nu + 3, 3) <= 4 n_e,
+  draws each angle's histogram: n_e trials over its C(nu + 3, 3) records, in
+  lexicographic order of (k_dd, k_du, k_ud), weighted by each record's
+  multinomial pmf under the angle's renormalised row. The pmf table then
+  holds no more numbers than the per-trial draws would.
+- A larger cell draws n_e records of nu outcomes per angle, weighted by the
+  angle's renormalised row.
+
+A cell's row therefore depends only on the seed, its own alpha and nu, and
+the settings every cell shares (noise, angles, n_e, grid, y, tau): it is
+bit-identical regardless of execution order, worker count, or which other
+alphas and nus share the sweep.
 
 Sufficient records: outcomes whose probabilities are equal at every grid
 node enter the likelihood only through the sum of their counts. grid_tables
@@ -36,22 +45,25 @@ the product form merges nothing.
 
 An estimate depends only on the sufficient record, not on the true angle or
 the trial, so each cell solves the posterior once per distinct sufficient
-record among all of its draws. The draws themselves are 4-count records,
-merged only after sampling, so the seed contract does not depend on the
-table. The distinct records are solved in blocks of rows, one posterior,
-most-probable and shortest-interval call per block; each record's estimate
-is bit-identical to that record solved alone.
+record among all of its draws (for a histogram cell, among the records drawn
+at some angle). The draws themselves are over 4-count records, merged only
+after sampling, so the seed contract does not depend on the table. The
+distinct records are solved in blocks of rows, one posterior, most-probable
+and shortest-interval call per block; each record's estimate is
+bit-identical to that record solved alone.
 
 A sweep reads every setting from one ExperimentConfig, which each cell
 receives whole with its own alpha and nu. It returns one SweepRow per cell,
 keyed by (alpha, nu) in sweep order. Its per-angle columns hold each true
 angle's mean and standard deviation of the most probable value and of the
 shortest-interval length over the n_e trials; mean_mu_l_ci averages the
-interval column over the angles.
+interval column over the angles. A histogram cell takes them from each angle's
+histogram, weighting each drawn record's estimates by its count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -86,6 +98,10 @@ PROFILE_MATCH = 1e-14
 # the (4, 4) 0/1 map from outcomes (dd, du, ud, uu) to the qubit outcomes
 # (q1=d, q1=u, q2=d, q2=u) they hold
 QUBIT_MAP = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=np.int64)
+# a cell draws record histograms when its 4-count records number at most
+# this many per trial: its (n_phi, records) pmf table then holds no more
+# numbers than the (n_phi, n_e, 4) per-trial draws
+HISTOGRAM_RECORDS_PER_TRIAL = 4
 # the largest domain end: sums of squared angles stay far inside the float range
 MAX_DOMAIN_END = 1e100
 # the fewest floats a cell spans at the largest end: rounded cells agree to ~1e-6
@@ -123,12 +139,45 @@ def _alpha_key(alpha: float) -> int:
 def sample_outcomes(
     profiles: np.ndarray, nu: int, n_draws: int, stream: np.random.Generator
 ) -> np.ndarray:
-    """n_draws independent count records of nu outcomes each, weighted by each
-    renormalised row of profiles: shape (n_draws, 4) for one row, (n_phi,
-    n_draws, 4) for an (n_phi, 4) table, whose rows are drawn in order."""
+    """n_draws independent count vectors of nu draws each, over the categories
+    of each renormalised row of profiles (a cell's four outcomes, or its
+    4-count records): shape (n_draws, C) for one row of C categories,
+    (n_phi, n_draws, C) for an (n_phi, C) table, whose rows are drawn in order."""
     p = np.asarray(profiles, dtype=float)
     p = p / p.sum(axis=-1, keepdims=True)
     return stream.multinomial(nu, p[..., None, :], size=p.shape[:-1] + (n_draws,))
+
+
+@lru_cache(maxsize=64)
+def _record_table(nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every 4-count record of nu outcomes, shape (C(nu + 3, 3), 4), in
+    lexicographic order of (k_dd, k_du, k_ud), and the log of each one's
+    multinomial coefficient nu! / (k_dd! k_du! k_ud! k_uu!)."""
+    # a record is nu outcomes split by 3 bars; bars at b_1 < b_2 < b_3 of the
+    # nu + 3 places give k_dd = b_1, k_du = b_2 - b_1 - 1, and so on, and
+    # combinations() lists the bars, hence the records, in lexicographic order
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(nu + 3), 3)), dtype=np.int64
+    ).reshape(-1, 3)
+    records = np.diff(bars, axis=1, prepend=-1, append=nu + 3) - 1
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(nu + 1)])
+    log_coefficients = log_factorial[nu] - log_factorial[records].sum(axis=1)
+    # the cache hands these same arrays to every caller
+    for table in (records, log_coefficients):
+        table.setflags(write=False)
+    return records, log_coefficients
+
+
+def _record_pmf(profiles: np.ndarray, nu: int) -> np.ndarray:
+    """The multinomial pmf of every _record_table(nu) record under each
+    renormalised row of an (n_phi, 4) profile table: shape (n_phi, records)."""
+    records, log_coefficients = _record_table(nu)
+    p = profiles / profiles.sum(axis=1, keepdims=True)
+    # log 0 is floored at -1e300: a zero count still adds exactly 0, and a
+    # record that counts an impossible outcome still has a pmf of exactly 0
+    with np.errstate(divide="ignore"):
+        log_p = np.maximum(np.log(p), -1e300)
+    return np.exp(log_coefficients + log_p @ records.T)
 
 
 def _merged_table(profiles: np.ndarray, to_columns: np.ndarray, columns: np.ndarray):
@@ -247,16 +296,26 @@ def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts[order[new]], inverse
 
 
-def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
-    cfg, alpha, nu = task
-    noise = cfg.noise
-    nodes, log_profiles, merge = grid_tables(alpha, noise, cfg.domain, cfg.grid_size)
-    stream = trial_stream(cfg.seed, _alpha_key(alpha), nu)
-    phis = sweep_angles(cfg)
-    counts = sample_outcomes(profile_grid(alpha, phis, noise), nu, cfg.n_e, stream)
+def _histogram_columns(
+    histograms: np.ndarray, values: np.ndarray
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Mean and sample standard deviation of each row of an (n_phi, D) array
+    of trial counts: one row per true angle, the number of its trials whose
+    estimate took each of the D values."""
+    n_e = histograms.sum(axis=1)
+    mean = (histograms * values).sum(axis=1) / n_e
+    var = (histograms * (values - mean[:, None]) ** 2).sum(axis=1) / (n_e - 1)
+    return tuple(mean.tolist()), tuple(np.sqrt(var).tolist())
+
+
+def _estimates(
+    cfg: ExperimentConfig, nodes: np.ndarray, log_profiles: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The most probable value and the shortest-interval length of each row of
+    an (N, K) array of sufficient records: shape (2, N)."""
     # identical sufficient records yield identical estimates, at any angle:
     # solve each distinct one of the cell once
-    records, inverse = _distinct_records(sufficient_records(counts.reshape(-1, 4), merge))
+    records, inverse = _distinct_records(counts)
     # solve them in blocks of 32768 grid values (32 rows of a 1024-node
     # grid): a block's density and cumulative tables take 512 KiB
     block = max(1, 32768 // cfg.grid_size)
@@ -266,11 +325,31 @@ def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
         grid = posterior_from_log_profiles(nodes, log_profiles, records[rows])
         estimates[:, rows] = most_probable(grid), min_confidence_interval(grid, cfg.y, cfg.tau).length
         del grid  # free this block's tables before the next block's are built
-    phi_mp, l_ci = estimates[:, inverse].reshape(2, len(phis), cfg.n_e)
-    # reduce each 2-D array on its own: a reduction over the stacked 3-D
-    # array sums in another order and changes the last bits
-    mu_phi_mp, sigma_phi_mp = _angle_columns(phi_mp)
-    mu_l_ci, sigma_l_ci = _angle_columns(l_ci)
+    return estimates[:, inverse]
+
+
+def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
+    cfg, alpha, nu = task
+    noise = cfg.noise
+    nodes, log_profiles, merge = grid_tables(alpha, noise, cfg.domain, cfg.grid_size)
+    stream = trial_stream(cfg.seed, _alpha_key(alpha), nu)
+    phis = sweep_angles(cfg)
+    profiles = profile_grid(alpha, phis, noise)
+    if math.comb(nu + 3, 3) <= HISTOGRAM_RECORDS_PER_TRIAL * cfg.n_e:
+        histograms = sample_outcomes(_record_pmf(profiles, nu), cfg.n_e, 1, stream).reshape(len(phis), -1)
+        drawn = histograms.any(axis=0)
+        histograms = histograms[:, drawn]
+        counts = _record_table(nu)[0][drawn]
+        phi_mp, l_ci = _estimates(cfg, nodes, log_profiles, sufficient_records(counts, merge))
+        columns = _histogram_columns(histograms, phi_mp) + _histogram_columns(histograms, l_ci)
+    else:
+        counts = sample_outcomes(profiles, nu, cfg.n_e, stream).reshape(-1, 4)
+        estimates = _estimates(cfg, nodes, log_profiles, sufficient_records(counts, merge))
+        phi_mp, l_ci = estimates.reshape(2, len(phis), cfg.n_e)
+        # reduce each 2-D array on its own: a reduction over the stacked 3-D
+        # array sums in another order and changes the last bits
+        columns = _angle_columns(phi_mp) + _angle_columns(l_ci)
+    mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci = columns
     return SweepRow(
         alpha, noise.eta, noise.n_steps, nu, tuple(phis.tolist()),
         mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci, float(np.mean(mu_l_ci)),

@@ -40,7 +40,9 @@ def line_plot(
     if x_hi == x_lo:
         # an integer 1: a float 1.0 rounds away at a nu of 2**53 or more
         x_hi = x_lo + 1
-    pad = 0.05 * (y_hi - y_lo) or 0.5
+    # a zero-width y range is padded by a share of its size: a pad of 0.5 rounds
+    # away above about 4.5e15, and the range would keep zero width
+    pad = 0.05 * (y_hi - y_lo) or max(0.5, 0.05 * abs(y_lo))
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     px_l, px_r = _MARGIN["left"], _WIDTH - _MARGIN["right"]

@@ -17,7 +17,6 @@ from qmetro.ensemble import (
     SweepRow,
     _alpha_key,
     grid_tables,
-    sample_outcomes,
     sufficient_records,
     sweep_angles,
     trial_stream,
@@ -95,6 +94,30 @@ def log_multinomial_coeff(counts):
     """log[nu! / (k1! k2! k3! k4!)] with nu = sum of counts."""
     k = check_counts(counts, 4)
     return math.lgamma(int(k.sum()) + 1) - sum(math.lgamma(int(ki) + 1) for ki in k)
+
+
+def count_records(nu):
+    """Every 4-count record of nu outcomes, in lexicographic order of (k_dd, k_du, k_ud)."""
+    return [
+        (a, b, c, nu - a - b - c)
+        for a in range(nu + 1)
+        for b in range(nu + 1 - a)
+        for c in range(nu + 1 - a - b)
+    ]
+
+
+def record_pmf(probs, counts):
+    """Multinomial probability of a 4-count record under probs, computed in
+    log space as exp(log coefficient + sum of k log p) over the nonzero
+    counts; 0 if a nonzero count has probability 0. Unlike likelihood's
+    product of powers, it underflows to 0 where the sweep's log-space pmf
+    does, and a draw over a category of probability 0 takes no random number
+    where one of 1e-300 would."""
+    k = check_counts(counts, 4)
+    if any(ki > 0 and pi == 0.0 for ki, pi in zip(k, probs)):
+        return 0.0
+    log_pmf = log_multinomial_coeff(k) + sum(int(ki) * math.log(pi) for ki, pi in zip(k, probs) if ki > 0)
+    return math.exp(log_pmf)
 
 
 def likelihood(profile_at, counts, phi):
@@ -262,12 +285,7 @@ def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
         return p / p.sum()
 
     nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
-    records = [
-        (a, b, c, nu - a - b - c)
-        for a in range(nu + 1)
-        for b in range(nu + 1 - a)
-        for c in range(nu + 1 - a - b)
-    ]
+    records = count_records(nu)
     weights = [[likelihood(sampled_profile, r, phi) for r in records] for phi in phis]
     # an impossible record has no posterior, and weight 0 at every angle
     lengths = [
@@ -287,16 +305,32 @@ def exact_mean_l_ci(alpha, noise, nu, phis, domain, grid_size, y, tau):
 
 
 def sweep_row_loop(cfg, alpha, nu):
-    """One sweep cell's SweepRow rebuilt angle by angle: the cell's draws from
-    its own stream, each record's sufficient record solved alone, then np.mean
-    and np.std(ddof=1) over each angle's 1-D arrays of estimates."""
+    """One sweep cell's SweepRow rebuilt angle by angle from its own stream, as
+    the seed contract states, then np.mean and np.std(ddof=1) over each
+    angle's 1-D array of n_e estimates, each record's sufficient record solved
+    alone.
+
+    A cell with at most 4 n_e records of nu outcomes draws each angle's
+    histogram of n_e trials over every record (count_records), weighted by
+    its pmf (record_pmf) under the angle's renormalised probabilities; each
+    drawn record then stands for as many trials as its histogram count.
+    Otherwise each angle draws n_e records of nu outcomes.
+    """
     noise = cfg.noise
     nodes, log_profiles, merge = grid_tables(alpha, noise, cfg.domain, cfg.grid_size)
     stream = trial_stream(cfg.seed, _alpha_key(alpha), nu)
     phis = sweep_angles(cfg)
+    table = count_records(nu)
     per_angle = []  # (mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci) of each angle
     for phi in phis:
-        records = sample_outcomes(measurement_probabilities(alpha, phi, noise), nu, cfg.n_e, stream)
+        probs = measurement_probabilities(alpha, phi, noise)
+        probs = probs / probs.sum()
+        if len(table) <= 4 * cfg.n_e:
+            pmf = np.array([record_pmf(probs, r) for r in table])
+            histogram = stream.multinomial(cfg.n_e, pmf / pmf.sum())
+            records = [r for r, count in zip(table, histogram) for _ in range(count)]
+        else:
+            records = stream.multinomial(nu, probs, size=cfg.n_e)
         grids = [posterior_from_log_profiles(nodes, log_profiles, sufficient_records(k, merge)) for k in records]
         phi_mp = np.array([most_probable(g) for g in grids])
         l_ci = np.array([min_confidence_interval(g, cfg.y, cfg.tau).length for g in grids])

@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, CSV schema, and SVG emission."""
 
+import gc
 import math
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qmetro
-from qmetro import ensemble
+from qmetro import cli, ensemble
 from qmetro.bayes import min_confidence_interval
 from qmetro.cli import main
 from qmetro.config import PARSERS, ConfigError, ExperimentConfig, parse_config
@@ -338,6 +339,28 @@ class TestSweepCommand:
         # one point per plotted probe
         for suffix, probes in (("absolute", 2), ("relative", 1)):
             assert (tmp_path / f"r_{suffix}.svg").read_text().count("<circle") == probes
+
+    def test_huge_lone_y_value_plots(self, tmp_path, config_path):
+        # one mean length of ~9.5e99: a y pad of 0.5 would round away there
+        config_path.write_text("alphas=0.5\nnus=1\nn_e=2\nn_phi=1\ngrid_size=64\ndomain=0,1e100\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config_path), "--output", str(out), "--plot"]) == 0
+        assert parse_csv(out.read_text())[-1].mu_l_ci > 1e99
+        assert (tmp_path / "r_absolute.svg").read_text().count("<circle") == 1
+
+    def test_only_the_process_entry_point_freezes(self, tmp_path, config_path, monkeypatch):
+        # main, which tests call in-process, leaves the collector alone; run
+        # freezes every object, so the exit skips their final collection
+        frozen = gc.get_freeze_count()
+        assert main(["sweep", "--config", str(config_path), "--output", str(tmp_path / "r.csv")]) == 0
+        assert gc.get_freeze_count() == frozen
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.run()
+            assert exit_info.value.code == 3 and gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
 
     def test_baseline_alone_plots_absolute_only(self, tmp_path, config_path):
         # a relative plot needs a probe besides the baseline to draw

@@ -1,6 +1,7 @@
 """Monte Carlo layer: sampling, trials, metrics, sweeps, and determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from qmetro.ensemble import (
     PROFILE_MATCH,
     _angle_columns,
     _distinct_records,
+    _histogram_columns,
+    _record_pmf,
     asymptotic_relative_bound,
     grid_tables,
     relative_uncertainty,
@@ -25,7 +28,7 @@ from qmetro.ensemble import (
 )
 from qmetro.quantum import NOISELESS, NoiseModel, profile_grid
 
-from oracles import sweep_row_loop
+from oracles import count_records, record_pmf, sweep_row_loop
 
 HALF_PI = math.pi / 2
 EPS = np.finfo(float).eps
@@ -70,6 +73,20 @@ class TestSampleOutcomes:
         for drawn, row in zip(table, rows):
             assert drawn.tolist() == sample_outcomes(np.array(row), nu, n_draws, stream).tolist()
         assert table.shape == (len(rows), n_draws, 4) and np.all(table.sum(axis=2) == nu)
+
+    @pytest.mark.parametrize(
+        "alpha, noise, nu",
+        [(0.0, NOISELESS, 0), (0.0, NOISELESS, 7), (0.5, NOISELESS, 10), (0.3, NoiseModel(0.9, 2), 12)],
+    )
+    def test_record_pmf_matches_oracle(self, alpha, noise, nu):
+        # every record's pmf, in the oracle's record order; the angle 0 makes
+        # outcomes impossible, whose records must have a pmf of exactly 0
+        profiles = profile_grid(alpha, np.linspace(0.0, HALF_PI, 5, endpoint=False), noise)
+        got = _record_pmf(profiles, nu)
+        want = np.array([[record_pmf(p / p.sum(), r) for r in count_records(nu)] for p in profiles])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_one_record_per_row(self):
         counts = sample_outcomes(np.array([0.1, 0.2, 0.3, 0.4]), 9, 50, trial_stream(4, 0))
@@ -232,6 +249,22 @@ class TestRunTrial:
         assert sweep(cfg) == sweep(cfg)
 
 
+def assert_matches_reference(cfg, alpha, nu):
+    """The sweep's cell against tests/oracles.sweep_row_loop: bit for bit for a
+    cell that draws trials, whose columns reduce each angle's trials on their
+    own; for a histogram cell, whose sums weight each record by its count and
+    so add in another order, within 4 n_e roundings of the largest value."""
+    got, want = sweep(cfg)[alpha, nu], sweep_row_loop(cfg, alpha, nu)
+    if math.comb(nu + 3, 3) > 4 * cfg.n_e:
+        assert got == want
+        return
+    columns = ("mu_phi_mp", "sigma_phi_mp", "mu_l_ci", "sigma_l_ci", "mean_mu_l_ci")
+    assert replace(got, **dict.fromkeys(columns)) == replace(want, **dict.fromkeys(columns))
+    tol = 4 * cfg.n_e * EPS * max(map(abs, cfg.domain))
+    for name in columns:
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=tol)
+
+
 class TestAngleColumns:
     """The per-angle columns of a sweep row: each angle's mean and sample
     standard deviation over its trials."""
@@ -249,6 +282,13 @@ class TestAngleColumns:
         values = np.array([[0.1, 0.2, 0.4], [0.5, 0.3, 0.1]])
         assert _angle_columns(values) == _angle_columns(values[:, ::-1])
 
+    def test_histogram_hand_arithmetic(self):
+        # the trials (0.1, 0.3, 0.3) and (0.2, 0.2, 0.2), as counts of the values 0.1, 0.2 and 0.3
+        means, sigmas = _histogram_columns(np.array([[1, 0, 2], [0, 3, 0]]), np.array([0.1, 0.2, 0.3]))
+        assert means == pytest.approx((0.7 / 3, 0.2))
+        assert sigmas == pytest.approx((math.sqrt(0.04 / 3), 0.0))
+        assert _histogram_columns(np.array([[5]]), np.array([0.4])) == ((0.4,), (0.0,))
+
     @pytest.mark.parametrize(
         "alpha, noise, nu, n_phi, n_e",
         [
@@ -259,16 +299,37 @@ class TestAngleColumns:
             (0.5, NOISELESS, 0, 2, 10),
             (0.5, NOISELESS, 3, 3, 2),
             (1 / 3, NOISELESS, 5, 1, 40),
+            (0.0, NOISELESS, 12, 2, 40),
+            (0.3, NoiseModel(0.9, 2), 9, 2, 50),
         ],
-        ids=["alpha-0", "alpha-0.5", "alpha-1", "eta-0.9", "nu-0", "n_e-2", "n_phi-1"],
+        ids=[
+            "alpha-0", "alpha-0.5", "alpha-1", "eta-0.9", "nu-0", "n_e-2", "n_phi-1",
+            "per-trial-alpha-0", "per-trial-eta-0.9",
+        ],
     )
     def test_sweep_matches_per_angle_reference(self, alpha, noise, nu, n_phi, n_e):
-        # bit for bit: the columns reduce each angle's trials on their own
+        # n_e-2 and the per-trial cases have more than 4 n_e records, so they
+        # draw trials; the others draw histograms
         cfg = ExperimentConfig(
             alphas=(alpha,), eta=noise.eta, n_steps=noise.n_steps, nus=(nu,), n_phi=n_phi, n_e=n_e, seed=17,
             grid_size=256,
         )
-        assert sweep(cfg)[alpha, nu] == sweep_row_loop(cfg, alpha, nu)
+        assert_matches_reference(cfg, alpha, nu)
+
+    @pytest.mark.parametrize("n_e, draw", [(14, (14, 1)), (13, (5, 13))], ids=["at-rule", "above-rule"])
+    def test_histogram_rule(self, monkeypatch, n_e, draw):
+        # C(5 + 3, 3) = 56 records: a histogram of n_e trials at 4 n_e = 56,
+        # n_e records of nu = 5 outcomes each at 4 n_e = 52
+        draws = []
+
+        def spy(profiles, nu, n_draws, stream):
+            draws.append((nu, n_draws))
+            return sample_outcomes(profiles, nu, n_draws, stream)
+
+        monkeypatch.setattr(ensemble, "sample_outcomes", spy)
+        cfg = ExperimentConfig(alphas=(1 / 3,), nus=(5,), n_phi=2, n_e=n_e, seed=8, grid_size=128)
+        assert_matches_reference(cfg, 1 / 3, 5)
+        assert draws == [draw]
 
 
 class TestSweep:
