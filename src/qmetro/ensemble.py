@@ -57,8 +57,10 @@ receives whole with its own alpha and nu. It returns one SweepRow per cell,
 keyed by (alpha, nu) in sweep order. Its per-angle columns hold each true
 angle's mean and standard deviation of the most probable value and of the
 shortest-interval length over the n_e trials; mean_mu_l_ci averages the
-interval column over the angles. A histogram cell takes them from each angle's
-histogram, weighting each drawn record's estimates by its count.
+interval column over the angles. Both kinds of cell reduce one (n_phi, M)
+table of trial counts, a histogram cell's over the records drawn at some angle
+or ones over a larger cell's trials, with deviations about each angle's most
+drawn value: an angle whose trials share one estimate has an SD of exactly 0.
 """
 
 from __future__ import annotations
@@ -268,12 +270,6 @@ def sufficient_records(counts, merge: np.ndarray) -> np.ndarray:
     return k @ merge
 
 
-def _angle_columns(values: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Mean and sample standard deviation of each row of an (n_phi, n_e) array
-    of one estimate: one row per true angle, one column per trial."""
-    return tuple(values.mean(axis=1).tolist()), tuple(values.std(axis=1, ddof=1).tolist())
-
-
 def sweep_angles(cfg: ExperimentConfig) -> np.ndarray:
     """The n_phi true angles, evenly spaced over the domain, lower endpoint in, upper out."""
     return np.linspace(cfg.domain[0], cfg.domain[1], cfg.n_phi, endpoint=False)
@@ -297,25 +293,25 @@ def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _histogram_columns(
-    histograms: np.ndarray, values: np.ndarray
+    histograms: np.ndarray, values: np.ndarray, pivots: np.ndarray
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Mean and sample standard deviation of each row of an (n_phi, D) array
-    of trial counts: one row per true angle, the number of its trials whose
-    estimate took each of the D values."""
-    n_e = histograms.sum(axis=1)
-    mean = (histograms * values).sum(axis=1) / n_e
-    var = (histograms * (values - mean[:, None]) ** 2).sum(axis=1) / (n_e - 1)
+    """Mean and sample standard deviation of each row of an (n_phi, M) array of
+    trial counts, each angle's count of trials whose estimate took each of the
+    M values (one row, or one per angle). The deviations are taken about each
+    angle's pivot, a value it drew, so trials that share one value have SD 0."""
+    n = histograms.sum(axis=1)
+    mean = (histograms * values).sum(axis=1) / n
+    deviations = values - pivots[:, None]
+    shift = (histograms * deviations).sum(axis=1) / n
+    var = (histograms * (deviations - shift[:, None]) ** 2).sum(axis=1) / (n - 1)
     return tuple(mean.tolist()), tuple(np.sqrt(var).tolist())
 
 
 def _estimates(
-    cfg: ExperimentConfig, nodes: np.ndarray, log_profiles: np.ndarray, counts: np.ndarray
+    cfg: ExperimentConfig, nodes: np.ndarray, log_profiles: np.ndarray, records: np.ndarray
 ) -> np.ndarray:
     """The most probable value and the shortest-interval length of each row of
-    an (N, K) array of sufficient records: shape (2, N)."""
-    # identical sufficient records yield identical estimates, at any angle:
-    # solve each distinct one of the cell once
-    records, inverse = _distinct_records(counts)
+    an (N, K) array of distinct sufficient records: shape (2, N)."""
     # solve them in blocks of 32768 grid values (32 rows of a 1024-node
     # grid): a block's density and cumulative tables take 512 KiB
     block = max(1, 32768 // cfg.grid_size)
@@ -325,7 +321,7 @@ def _estimates(
         grid = posterior_from_log_profiles(nodes, log_profiles, records[rows])
         estimates[:, rows] = most_probable(grid), min_confidence_interval(grid, cfg.y, cfg.tau).length
         del grid  # free this block's tables before the next block's are built
-    return estimates[:, inverse]
+    return estimates
 
 
 def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
@@ -340,16 +336,18 @@ def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
         drawn = histograms.any(axis=0)
         histograms = histograms[:, drawn]
         counts = _record_table(nu)[0][drawn]
-        phi_mp, l_ci = _estimates(cfg, nodes, log_profiles, sufficient_records(counts, merge))
-        columns = _histogram_columns(histograms, phi_mp) + _histogram_columns(histograms, l_ci)
     else:
         counts = sample_outcomes(profiles, nu, cfg.n_e, stream).reshape(-1, 4)
-        estimates = _estimates(cfg, nodes, log_profiles, sufficient_records(counts, merge))
-        phi_mp, l_ci = estimates.reshape(2, len(phis), cfg.n_e)
-        # reduce each 2-D array on its own: a reduction over the stacked 3-D
-        # array sums in another order and changes the last bits
-        columns = _angle_columns(phi_mp) + _angle_columns(l_ci)
-    mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci = columns
+        histograms = np.ones((len(phis), cfg.n_e), dtype=np.int64)
+    # identical sufficient records yield identical estimates, at any angle:
+    # solve each distinct one of the cell once
+    records, inverse = _distinct_records(sufficient_records(counts, merge))
+    inverse = inverse.reshape(-1, histograms.shape[1])
+    # each angle's most drawn record, whose estimates its deviations are taken about
+    pivots = np.take_along_axis(inverse, histograms.argmax(axis=1)[:, None], axis=1)[:, 0]
+    phi_mp, l_ci = _estimates(cfg, nodes, log_profiles, records)
+    mu_phi_mp, sigma_phi_mp = _histogram_columns(histograms, phi_mp[inverse], phi_mp[pivots])
+    mu_l_ci, sigma_l_ci = _histogram_columns(histograms, l_ci[inverse], l_ci[pivots])
     return SweepRow(
         alpha, noise.eta, noise.n_steps, nu, tuple(phis.tolist()),
         mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci, float(np.mean(mu_l_ci)),

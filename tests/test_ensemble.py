@@ -13,7 +13,6 @@ from qmetro import ensemble
 from qmetro.config import DEFAULT_DOMAIN, ExperimentConfig
 from qmetro.ensemble import (
     PROFILE_MATCH,
-    _angle_columns,
     _distinct_records,
     _histogram_columns,
     _record_pmf,
@@ -178,7 +177,7 @@ class TestSufficientRecords:
         try:
             assert outcome_classes(0.5, NOISELESS, 64) == [[0], [1], [2], [3]]
             cfg = ExperimentConfig(alphas=(0.5,), nus=(6,), n_phi=2, n_e=20, seed=3, grid_size=64)
-            assert sweep(cfg)[0.5, 6] == sweep_row_loop(cfg, 0.5, 6)
+            assert_matches_reference(cfg, 0.5, 6)
         finally:
             grid_tables.cache_clear()
 
@@ -250,44 +249,80 @@ class TestRunTrial:
 
 
 def assert_matches_reference(cfg, alpha, nu):
-    """The sweep's cell against tests/oracles.sweep_row_loop: bit for bit for a
-    cell that draws trials, whose columns reduce each angle's trials on their
-    own; for a histogram cell, whose sums weight each record by its count and
-    so add in another order, within 4 n_e roundings of the largest value."""
+    """The sweep's cell against tests/oracles.sweep_row_loop, which reduces
+    each angle's trials with np.mean and np.std, within 4 n_e roundings of the
+    largest value: the standard deviations, which the sweep takes about a
+    drawn value, and for a histogram cell, whose sums weight each record by
+    its count and so add in another order, the means too. Every other field
+    matches bit for bit."""
     got, want = sweep(cfg)[alpha, nu], sweep_row_loop(cfg, alpha, nu)
-    if math.comb(nu + 3, 3) > 4 * cfg.n_e:
-        assert got == want
-        return
-    columns = ("mu_phi_mp", "sigma_phi_mp", "mu_l_ci", "sigma_l_ci", "mean_mu_l_ci")
+    columns = ("sigma_phi_mp", "sigma_l_ci")
+    if math.comb(nu + 3, 3) <= 4 * cfg.n_e:
+        columns += ("mu_phi_mp", "mu_l_ci", "mean_mu_l_ci")
     assert replace(got, **dict.fromkeys(columns)) == replace(want, **dict.fromkeys(columns))
     tol = 4 * cfg.n_e * EPS * max(map(abs, cfg.domain))
     for name in columns:
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=tol)
 
 
+def trial_columns(values):
+    """The per-angle columns of an (n_phi, n_e) array of one estimate's
+    trials: each trial counted once, deviations about each angle's first."""
+    return _histogram_columns(np.ones(values.shape, dtype=np.int64), values, values[:, 0])
+
+
 class TestAngleColumns:
     """The per-angle columns of a sweep row: each angle's mean and sample
-    standard deviation over its trials."""
+    standard deviation over its trials, from a table of trial counts."""
 
     def test_identical_results(self):
-        means, sigmas = _angle_columns(np.full((2, 5), 0.4))
+        means, sigmas = trial_columns(np.full((2, 5), 0.4))
         assert means == (0.4, 0.4) and sigmas == (0.0, 0.0)
 
     def test_hand_arithmetic(self):
-        means, sigmas = _angle_columns(np.array([[0.1, 0.3], [0.2, 0.4]]))
+        means, sigmas = trial_columns(np.array([[0.1, 0.3], [0.2, 0.4]]))
         assert means == pytest.approx((0.2, 0.3))
         assert sigmas == pytest.approx((math.sqrt(0.02), math.sqrt(0.02)))
 
     def test_permutation_invariance(self):
         values = np.array([[0.1, 0.2, 0.4], [0.5, 0.3, 0.1]])
-        assert _angle_columns(values) == _angle_columns(values[:, ::-1])
+        assert trial_columns(values) == trial_columns(values[:, ::-1])
 
     def test_histogram_hand_arithmetic(self):
         # the trials (0.1, 0.3, 0.3) and (0.2, 0.2, 0.2), as counts of the values 0.1, 0.2 and 0.3
-        means, sigmas = _histogram_columns(np.array([[1, 0, 2], [0, 3, 0]]), np.array([0.1, 0.2, 0.3]))
+        values = np.array([0.1, 0.2, 0.3])
+        means, sigmas = _histogram_columns(np.array([[1, 0, 2], [0, 3, 0]]), values, values[[2, 1]])
         assert means == pytest.approx((0.7 / 3, 0.2))
         assert sigmas == pytest.approx((math.sqrt(0.04 / 3), 0.0))
-        assert _histogram_columns(np.array([[5]]), np.array([0.4])) == ((0.4,), (0.0,))
+        assert _histogram_columns(np.array([[5]]), np.array([0.4]), np.array([0.4])) == ((0.4,), (0.0,))
+
+    def test_shared_value_has_zero_deviation(self):
+        # the mean of three 0.1s rounds to 0.10000000000000002, and
+        # deviations about it left 1.7e-17; about the drawn value they are 0
+        assert _histogram_columns(np.array([[3]]), np.array([0.1]), np.array([0.1]))[1] == (0.0,)
+        # a histogram cell whose du and ud records share one sufficient record
+        row = sweep(ExperimentConfig(alphas=(0.5,), nus=(1,), n_phi=1, n_e=1000, seed=1))[0.5, 1]
+        assert row.sigma_phi_mp == row.sigma_l_ci == (0.0,)
+        # a cell that draws trials, every one of them the same record
+        cfg = ExperimentConfig(alphas=(0.0,), nus=(300,), n_phi=1, n_e=20, grid_size=256, seed=1)
+        assert sweep(cfg)[0.0, 300].sigma_l_ci == (0.0,)
+
+    @pytest.mark.parametrize("n_e, histogram", [(14, True), (13, False)], ids=["histogram", "per-trial"])
+    def test_trial_table_shapes(self, monkeypatch, n_e, histogram):
+        # C(5 + 3, 3) = 56 records: a histogram cell reduces at most that many
+        # columns per angle, a cell that draws trials its n_e trials, so the
+        # table grows linearly in n_e
+        shapes = []
+
+        def spy(histograms, values, pivots):
+            shapes.append(histograms.shape)
+            return _histogram_columns(histograms, values, pivots)
+
+        monkeypatch.setattr(ensemble, "_histogram_columns", spy)
+        sweep(ExperimentConfig(alphas=(1 / 3,), nus=(5,), n_phi=3, n_e=n_e, seed=8, grid_size=128))
+        (n_phi, columns), other = shapes
+        assert n_phi == 3 and other == (n_phi, columns)
+        assert columns <= math.comb(5 + 3, 3) if histogram else columns == n_e
 
     @pytest.mark.parametrize(
         "alpha, noise, nu, n_phi, n_e",
