@@ -182,10 +182,10 @@ def _record_pmf(profiles: np.ndarray, nu: int) -> np.ndarray:
     return np.exp(log_coefficients + log_p @ records.T)
 
 
-def _merged_table(profiles: np.ndarray, to_columns: np.ndarray, columns: np.ndarray):
-    """The (G, K) log columns and (4, K) merge map that merge the given
-    columns, which are profiles @ to_columns, into classes of columns equal
-    within PROFILE_MATCH at every node, ordered by their first column.
+def _merged_table(profiles: np.ndarray, to_columns: np.ndarray):
+    """The (G, K) log columns and (4, K) merge map that merge the columns
+    profiles @ to_columns into classes of columns equal within PROFILE_MATCH
+    at every node, ordered by their first column.
 
     A class's log column is half the log probability of an outcome the map
     sends twice into it, if there is one, else the log of its first column.
@@ -193,6 +193,7 @@ def _merged_table(profiles: np.ndarray, to_columns: np.ndarray, columns: np.ndar
     third of its rounding bound of the unmerged table's; the log of a summed
     marginal strayed past that bound.
     """
+    columns = profiles @ to_columns
     gap = np.abs(columns[:, :, None] - columns[:, None, :]).max(axis=0)
     firsts: list[int] = []  # the first column of each class
     classes = np.zeros((4, 4), dtype=np.int64)
@@ -243,12 +244,12 @@ def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], gr
     if np.diff(nodes).min() < least:
         raise ValueError(f"domain {domain} is too narrow: {grid_size} nodes must be {least:.3g} apart")
     profiles = profile_grid(alpha, nodes, noise)
-    log_profiles, merge = _merged_table(profiles, QUBIT_MAP, profiles @ QUBIT_MAP)
+    log_profiles, merge = _merged_table(profiles, QUBIT_MAP)
     # each outcome's log probability as the table scores it: its map row
     # times the log columns, skipping the columns (maybe log 0) it does not reach
     scored = (merge * np.where(merge > 0, log_profiles[:, None, :], 0.0)).sum(axis=2)
     if np.abs(np.exp(scored) - profiles).max() > PROFILE_MATCH:
-        log_profiles, merge = _merged_table(profiles, np.eye(4, dtype=np.int64), profiles)
+        log_profiles, merge = _merged_table(profiles, np.eye(4, dtype=np.int64))
     # the cache hands these same arrays to every caller
     for table in (nodes, log_profiles, merge):
         table.setflags(write=False)
@@ -292,16 +293,15 @@ def _distinct_records(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts[order[new]], inverse
 
 
-def _histogram_columns(
-    histograms: np.ndarray, values: np.ndarray, pivots: np.ndarray
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _histogram_columns(histograms: np.ndarray, values: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Mean and sample standard deviation of each row of an (n_phi, M) array of
     trial counts, each angle's count of trials whose estimate took each of the
     M values (one row, or one per angle). The deviations are taken about each
-    angle's pivot, a value it drew, so trials that share one value have SD 0."""
+    angle's most drawn value, so trials that share one value have SD 0."""
     n = histograms.sum(axis=1)
     mean = (histograms * values).sum(axis=1) / n
-    deviations = values - pivots[:, None]
+    most = histograms.argmax(axis=1)[:, None]
+    deviations = values - np.take_along_axis(np.broadcast_to(values, histograms.shape), most, axis=1)
     shift = (histograms * deviations).sum(axis=1) / n
     var = (histograms * (deviations - shift[:, None]) ** 2).sum(axis=1) / (n - 1)
     return tuple(mean.tolist()), tuple(np.sqrt(var).tolist())
@@ -343,11 +343,9 @@ def _run_cell(task: tuple[ExperimentConfig, float, int]) -> SweepRow:
     # solve each distinct one of the cell once
     records, inverse = _distinct_records(sufficient_records(counts, merge))
     inverse = inverse.reshape(-1, histograms.shape[1])
-    # each angle's most drawn record, whose estimates its deviations are taken about
-    pivots = np.take_along_axis(inverse, histograms.argmax(axis=1)[:, None], axis=1)[:, 0]
     phi_mp, l_ci = _estimates(cfg, nodes, log_profiles, records)
-    mu_phi_mp, sigma_phi_mp = _histogram_columns(histograms, phi_mp[inverse], phi_mp[pivots])
-    mu_l_ci, sigma_l_ci = _histogram_columns(histograms, l_ci[inverse], l_ci[pivots])
+    mu_phi_mp, sigma_phi_mp = _histogram_columns(histograms, phi_mp[inverse])
+    mu_l_ci, sigma_l_ci = _histogram_columns(histograms, l_ci[inverse])
     return SweepRow(
         alpha, noise.eta, noise.n_steps, nu, tuple(phis.tolist()),
         mu_phi_mp, sigma_phi_mp, mu_l_ci, sigma_l_ci, float(np.mean(mu_l_ci)),

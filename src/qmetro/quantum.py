@@ -2,7 +2,8 @@
 
 Everything here is exact dense 4x4 (or 2x2) arithmetic on numpy arrays.
 Basis ordering is (dd, du, ud, uu) with qubit 1 as the leading tensor
-factor; states are complex 4-vectors, density matrices complex 4x4.
+factor. The model is real: probe amplitudes, rotations and the dephasing
+mask are float64, and the channel keeps a complex state complex.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ def probe_state(alpha: float) -> np.ndarray:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return np.array([0.0, np.sqrt(alpha), np.sqrt(1.0 - alpha), 0.0], dtype=complex)
+    return np.array([0.0, np.sqrt(alpha), np.sqrt(1.0 - alpha), 0.0])
 
 
 def pure_to_density(state: np.ndarray) -> np.ndarray:
-    """Rank-1 density matrix |psi><psi|."""
-    psi = np.asarray(state, dtype=complex)
+    """Rank-1 density matrix |psi><psi|, in the state's dtype."""
+    psi = np.asarray(state)
     return np.outer(psi, psi.conj())
 
 
@@ -79,11 +80,12 @@ def noisy_rotation(rho: np.ndarray, phis: float | np.ndarray, noise: NoiseModel)
     """n_steps repetitions of [dephase by eta, then rotate by phi/n_steps], per angle.
 
     phis is one angle or an array of them; the result has shape
-    np.shape(phis) + (4, 4).
+    np.shape(phis) + (4, 4), real for a real rho and complex for a complex one.
     """
     phis = np.asarray(phis, dtype=float)
     flat = phis.reshape(-1)
-    out = np.broadcast_to(np.asarray(rho, dtype=complex), (len(flat), 4, 4)).copy()
+    rho = np.asarray(rho)
+    out = np.broadcast_to(rho, (len(flat), 4, 4)).astype(np.result_type(rho, float))
     u = _rotation_batch(flat / noise.n_steps)
     ut = u.transpose(0, 2, 1)  # real, so transpose == conjugate transpose
     mask = _dephase_mask(noise.eta)
@@ -100,9 +102,9 @@ def profile_grid(alpha: float, phis: np.ndarray, noise: NoiseModel = NOISELESS) 
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if noise.eta == 1.0:
-        return np.abs(_rotation_batch(phis) @ probe_state(alpha)) ** 2
+        return (_rotation_batch(phis) @ probe_state(alpha)) ** 2
     rho = noisy_rotation(pure_to_density(probe_state(alpha)), phis, noise)
-    return np.diagonal(rho, axis1=1, axis2=2).real
+    return np.diagonal(rho, axis1=1, axis2=2)
 
 
 def measurement_probabilities(alpha: float, phi: float, noise: NoiseModel = NOISELESS) -> np.ndarray:

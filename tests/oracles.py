@@ -21,7 +21,7 @@ from qmetro.ensemble import (
     sweep_angles,
     trial_stream,
 )
-from qmetro.quantum import _dephase_mask, measurement_probabilities
+from qmetro.quantum import _dephase_mask, _rotation_batch, measurement_probabilities
 from qmetro.report import CSV_HEADER, MEAN_TOKEN, ResultRow
 
 
@@ -88,6 +88,22 @@ def kraus_sequence_oracle(rho, phi, eta, n):
             op = lam @ op
         out += op @ rho @ op.conj().T
     return out
+
+
+def complex_profile_grid(alpha, phis, noise):
+    """profile_grid's steps, in their order, evaluated in complex128: a complex
+    probe, |psi><psi| as np.outer(psi, conj(psi)), the channel on a complex
+    matrix, and probabilities as np.abs(amplitude)**2 or the diagonal's real
+    part. Every imaginary part is 0, so the real model must match it bit for bit."""
+    psi = np.array([0.0, np.sqrt(alpha), np.sqrt(1.0 - alpha), 0.0], dtype=complex)
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    if noise.eta == 1.0:
+        return np.abs(_rotation_batch(phis) @ psi) ** 2
+    rho = np.broadcast_to(np.outer(psi, psi.conj()), (len(phis), 4, 4)).copy()
+    u = _rotation_batch(phis / noise.n_steps)
+    for _ in range(noise.n_steps):
+        rho = u @ (rho * _dephase_mask(noise.eta)) @ u.transpose(0, 2, 1)
+    return np.diagonal(rho, axis1=1, axis2=2).real
 
 
 def log_multinomial_coeff(counts):

@@ -267,8 +267,8 @@ def assert_matches_reference(cfg, alpha, nu):
 
 def trial_columns(values):
     """The per-angle columns of an (n_phi, n_e) array of one estimate's
-    trials: each trial counted once, deviations about each angle's first."""
-    return _histogram_columns(np.ones(values.shape, dtype=np.int64), values, values[:, 0])
+    trials: each trial counted once."""
+    return _histogram_columns(np.ones(values.shape, dtype=np.int64), values)
 
 
 class TestAngleColumns:
@@ -291,15 +291,15 @@ class TestAngleColumns:
     def test_histogram_hand_arithmetic(self):
         # the trials (0.1, 0.3, 0.3) and (0.2, 0.2, 0.2), as counts of the values 0.1, 0.2 and 0.3
         values = np.array([0.1, 0.2, 0.3])
-        means, sigmas = _histogram_columns(np.array([[1, 0, 2], [0, 3, 0]]), values, values[[2, 1]])
+        means, sigmas = _histogram_columns(np.array([[1, 0, 2], [0, 3, 0]]), values)
         assert means == pytest.approx((0.7 / 3, 0.2))
         assert sigmas == pytest.approx((math.sqrt(0.04 / 3), 0.0))
-        assert _histogram_columns(np.array([[5]]), np.array([0.4]), np.array([0.4])) == ((0.4,), (0.0,))
+        assert _histogram_columns(np.array([[5]]), np.array([0.4])) == ((0.4,), (0.0,))
 
     def test_shared_value_has_zero_deviation(self):
         # the mean of three 0.1s rounds to 0.10000000000000002, and
         # deviations about it left 1.7e-17; about the drawn value they are 0
-        assert _histogram_columns(np.array([[3]]), np.array([0.1]), np.array([0.1]))[1] == (0.0,)
+        assert _histogram_columns(np.array([[3]]), np.array([0.1]))[1] == (0.0,)
         # a histogram cell whose du and ud records share one sufficient record
         row = sweep(ExperimentConfig(alphas=(0.5,), nus=(1,), n_phi=1, n_e=1000, seed=1))[0.5, 1]
         assert row.sigma_phi_mp == row.sigma_l_ci == (0.0,)
@@ -314,9 +314,9 @@ class TestAngleColumns:
         # table grows linearly in n_e
         shapes = []
 
-        def spy(histograms, values, pivots):
+        def spy(histograms, values):
             shapes.append(histograms.shape)
-            return _histogram_columns(histograms, values, pivots)
+            return _histogram_columns(histograms, values)
 
         monkeypatch.setattr(ensemble, "_histogram_columns", spy)
         sweep(ExperimentConfig(alphas=(1 / 3,), nus=(5,), n_phi=3, n_e=n_e, seed=8, grid_size=128))

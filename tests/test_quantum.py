@@ -17,6 +17,7 @@ from qmetro.quantum import (
 )
 
 from oracles import (
+    complex_profile_grid,
     dephase_two_qubit,
     dephasing_kraus,
     evolve_pure,
@@ -29,6 +30,15 @@ KET_DD = np.array([1, 0, 0, 0], dtype=complex)
 KET_DU = np.array([0, 1, 0, 0], dtype=complex)
 KET_UD = np.array([0, 0, 1, 0], dtype=complex)
 BELL = np.array([0, 1, 0, 1], dtype=complex)[[0, 1, 1, 0]] / np.sqrt(2)  # (0,1,1,0)/sqrt2
+
+# the grid on which the real model is checked against the complex one: edge
+# and generic probes, every channel branch, and a posterior grid's 1024 nodes,
+# 500 angles far out of [0, pi], and the angles 0, pi and 1e-300
+REFERENCE_ALPHAS = (0.0, 1 / 6, 1 / 3, 0.5, 1.0, 1e-300, 0.123456789)
+REFERENCE_NOISES = [(1.0, 5), (0.9, 5), (0.5, 5), (0.9, 1), (0.3, 13), (1e-300, 2), (0.0, 3)]
+REFERENCE_PHIS = np.concatenate(
+    [np.linspace(0.0, np.pi / 2, 1024), np.random.default_rng(17).uniform(-100.0, 100.0, 500), [0.0, np.pi, 1e-300]]
+)
 
 
 def random_density(rng):
@@ -267,3 +277,25 @@ class TestMeasurementProbabilities:
     def test_non_finite_angle_rejected(self, noise):
         with pytest.raises(ValueError, match="finite"):
             profile_grid(0.3, [0.1, np.nan], noise)
+
+
+class TestRealModel:
+    """The model is real, so it is evaluated in float64; the complex128
+    evaluation it replaced gives the same probabilities bit for bit."""
+
+    @pytest.mark.parametrize("eta, n_steps", REFERENCE_NOISES)
+    @pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
+    def test_matches_complex_reference(self, alpha, eta, n_steps):
+        noise = NoiseModel(eta, n_steps)
+        want = complex_profile_grid(alpha, REFERENCE_PHIS, noise).tobytes()
+        grid = profile_grid(alpha, REFERENCE_PHIS, noise)
+        lone = np.array([measurement_probabilities(alpha, phi, noise) for phi in REFERENCE_PHIS])
+        for got in (grid, lone):
+            assert got.dtype == np.float64 and got.tobytes() == want
+
+    def test_channel_keeps_dtype(self):
+        noise = NoiseModel(0.7, 2)
+        assert probe_state(0.3).dtype == pure_to_density(probe_state(0.3)).dtype == np.float64
+        assert noisy_rotation(pure_to_density(probe_state(0.3)), [0.2, 1.1], noise).dtype == np.float64
+        out = noisy_rotation(random_density(np.random.default_rng(18)), [0.2, 1.1], noise)
+        assert out.dtype == np.complex128 and np.abs(out.imag).max() > 0.01
