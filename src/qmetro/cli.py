@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from pathlib import Path
 
@@ -18,12 +19,24 @@ EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
 EXIT_IO = 4
 
+# the config keys each command also takes as a flag (--n-steps sets n_steps)
+SETTING_FLAGS = {
+    "probs": ("eta", "n_steps"),
+    "posterior": ("eta", "n_steps", "domain", "grid_size"),
+    "sweep": ("seed", "output"),
+}
 
-def _load_config(ns: argparse.Namespace, *keys: str) -> ExperimentConfig:
-    """The file named by --config, if any, overridden by the flags that set keys."""
+
+def _add_setting_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for key in SETTING_FLAGS[command]:
+        p.add_argument("--" + key.replace("_", "-"), help="lo,hi in radians" if key == "domain" else None)
+
+
+def _load_config(ns: argparse.Namespace) -> ExperimentConfig:
+    """The file named by --config, if any, overridden by the command's setting flags."""
     path = getattr(ns, "config", None)
     text = "" if path is None else Path(path).read_text(encoding="utf-8")
-    return parse_config(text, {key: getattr(ns, key) for key in keys})
+    return parse_config(text, {key: getattr(ns, key) for key in SETTING_FLAGS[ns.command]})
 
 
 def _parse_counts(raw: str) -> list[int]:
@@ -33,22 +46,22 @@ def _parse_counts(raw: str) -> list[int]:
         raise ValueError(f"counts must be integers, got {raw!r}") from None
 
 
-def cmd_probs(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns, "eta", "n_steps")
+def cmd_probs(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
     probs = quantum.measurement_probabilities(ns.alpha, ns.phi, cfg.noise)
     print(", ".join(report.format_number(p) for p in probs))
     return EXIT_OK
 
 
-def cmd_posterior(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns, "eta", "n_steps", "grid_size", "domain")
+def cmd_posterior(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
+    out = Path(ns.output)
+    if ns.plot and out.suffix == ".svg":
+        raise ValueError(f"--output {ns.output!r} is the path --plot writes the SVG to")
     counts = _parse_counts(ns.counts)
     # a config file means the same to both commands: it must be valid for a sweep
     ensemble.check_sweep(cfg)
     nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, cfg.noise, cfg.domain, cfg.grid_size)
     grid = bayes.posterior_from_log_profiles(nodes, log_profiles, ensemble.sufficient_records(counts, merge))
 
-    out = Path(ns.output)
     lines = ["phi,density"]
     lines += [
         f"{report.format_number(x)},{report.format_number(d)}"
@@ -66,8 +79,7 @@ def cmd_posterior(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns, "seed", "output")
+def cmd_sweep(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
     result = ensemble.sweep(cfg, workers=ns.workers)
     baseline = ensemble.BASELINE_ALPHA
     if baseline in cfg.alphas:
@@ -88,7 +100,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             plots.append(
                 ("relative", "baseline_ratio", probes,
                  f"Relative uncertainty (eta={eta})", "relative uncertainty",
-                 [("1/sqrt(2)", ensemble.asymptotic_relative_bound(2))])
+                 [("1/sqrt(2)", 1.0 / math.sqrt(2))])
             )
         nus = list(cfg.nus)
         for suffix, field, alphas, title, ylabel, hlines in plots:
@@ -111,26 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probs", help="print outcome probabilities for one probe and angle")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--eta")
-    p.add_argument("--n-steps")
+    _add_setting_flags(p, "probs")
     p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("posterior", help="emit one posterior as CSV (and optional SVG)")
     p.add_argument("--config", default=None)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--counts", default="0,0,0,0", help="k_dd,k_du,k_ud,k_uu")
-    p.add_argument("--eta")
-    p.add_argument("--n-steps")
-    p.add_argument("--domain", help="lo,hi in radians")
-    p.add_argument("--grid-size")
+    _add_setting_flags(p, "posterior")
     p.add_argument("--output", default="posterior.csv")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("sweep", help="run the Monte Carlo sweep and write the results CSV")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed")
-    p.add_argument("--output")
+    _add_setting_flags(p, "sweep")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -138,10 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        return ns.func(ns, _load_config(ns))
     except (bayes.DegenerateEvidenceError, bayes.ConvergenceError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION

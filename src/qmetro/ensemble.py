@@ -400,10 +400,3 @@ def relative_uncertainty(rows: dict[tuple[float, int], SweepRow]) -> dict[tuple[
             raise ValueError(f"baseline alpha {BASELINE_ALPHA} missing nu={row.nu}")
         ratios[key] = replace(row, baseline_ratio=row.mean_mu_l_ci / base.mean_mu_l_ci)
     return ratios
-
-
-def asymptotic_relative_bound(n_qubits: int) -> float:
-    """Asymptotic entangled-over-separable uncertainty ratio, 1/sqrt(n_qubits)."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    return 1.0 / math.sqrt(n_qubits)

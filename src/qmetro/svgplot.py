@@ -22,9 +22,10 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 def line_plot(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    *,
+    title: str,
+    xlabel: str,
+    ylabel: str,
     hlines: Sequence[tuple[str, float]] = (),
 ) -> str:
     """Render labelled (x, y) series as an SVG 1.1 document.
@@ -58,11 +59,8 @@ def line_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
-        )
 
     # axes and ticks
     out.append(
@@ -81,15 +79,11 @@ def line_plot(
         out.append(
             f'<text x="{px_l - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(yv)}</text>'
         )
-    if xlabel:
-        out.append(
-            f'<text x="{(px_l + px_r) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        out.append(
-            f'<text x="18" y="{(px_t + px_b) / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {(px_t + px_b) / 2:.1f})">{ylabel}</text>'
-        )
+    out += [
+        f'<text x="{(px_l + px_r) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="18" y="{(px_t + px_b) / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {(px_t + px_b) / 2:.1f})">{ylabel}</text>',
+    ]
 
     for label, value in hlines:
         py = sy(value)

@@ -55,6 +55,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1.*'n_e'"):
             parse_config("n_e=lots")
 
+    def test_line_without_equals_named(self, tmp_path, capsys):
+        message = "line 2: expected key=value, got 'seed 7'"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config("eta=1\nseed 7\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("eta=1\nseed 7\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_comments_and_lists(self):
         cfg = parse_config("# comment\nalphas=0,0.5 # inline\nnus=1,5,10\ndomain=0,3.14159\nseed=7")
         assert cfg.alphas == (0.0, 0.5)
@@ -95,10 +105,17 @@ class TestParseConfig:
 
     def test_readme_key_table_matches_parser(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        table_keys = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
-        assert sorted(table_keys) == sorted(PARSERS)
+        rows = re.findall(r"^\| `(\w+)` \|[^|]*\|([^|]*)\|", readme, flags=re.MULTILINE)
+        assert sorted(key for key, _ in rows) == sorted(PARSERS)
         # every key is its own ExperimentConfig field
         assert set(PARSERS) == set(ExperimentConfig.__dataclass_fields__)
+        # the flags column names each command's setting flags, as the parser adds them
+        table_flags = {}
+        for key, flags in rows:
+            for command, flag in re.findall(r"`(\w+) (--[\w-]+)`", flags):
+                assert flag == "--" + key.replace("_", "-")
+                table_flags.setdefault(command, set()).add(key)
+        assert table_flags == {command: set(keys) for command, keys in cli.SETTING_FLAGS.items()}
 
 
 class TestProbsCommand:
@@ -246,6 +263,13 @@ class TestPosteriorCommand:
             outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_plot_over_own_output_rejected(self, tmp_path, capsys):
+        # the SVG would be written over the CSV at the same path
+        out = tmp_path / "p.svg"
+        assert main(["posterior", "--counts", "1,2,3,4", "--output", str(out), "--plot"]) == 2
+        assert f"--output '{out}' is the path --plot writes the SVG to" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_plot_emitted_and_deterministic(self, tmp_path):
         out = tmp_path / "post.csv"
         args = ["posterior", "--counts", "1,2,3,4", "--output", str(out), "--plot"]
@@ -291,13 +315,22 @@ class TestSweepCommand:
         main(["sweep", "--config", str(config_path), "--seed", "9", "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_plots_emitted(self, tmp_path, config_path):
+    def test_plots_emitted(self, tmp_path, config_path, monkeypatch):
+        hlines = []
+
+        def spy(series, **kwargs):
+            hlines.append(list(kwargs["hlines"]))
+            return line_plot(series, **kwargs)
+
+        monkeypatch.setattr(cli.svgplot, "line_plot", spy)
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(config_path), "--output", str(out), "--plot"]) == 0
         absolute = (tmp_path / "r_absolute.svg").read_text()
         relative = (tmp_path / "r_relative.svg").read_text()
         assert absolute.startswith("<svg") and relative.startswith("<svg")
         assert "1/sqrt(2)" in relative
+        # the relative plot's reference line is the two-qubit asymptote 1/sqrt(2)
+        assert hlines == [[], [("1/sqrt(2)", 1 / math.sqrt(2))]]
 
     def test_invalid_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -540,10 +573,13 @@ class TestCsvSchema:
 
 
 class TestSvgPlot:
+    LABELS = {"title": "t", "xlabel": "x", "ylabel": "y"}
+
     def test_deterministic_output(self):
         series = [("a", [1, 2, 3], [0.5, 0.4, 0.3])]
-        assert line_plot(series, hlines=[("ref", 0.35)]) == line_plot(series, hlines=[("ref", 0.35)])
+        svg = line_plot(series, hlines=[("ref", 0.35)], **self.LABELS)
+        assert svg == line_plot(series, hlines=[("ref", 0.35)], **self.LABELS)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            line_plot([])
+            line_plot([], **self.LABELS)

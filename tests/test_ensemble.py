@@ -16,7 +16,6 @@ from qmetro.ensemble import (
     _distinct_records,
     _histogram_columns,
     _record_pmf,
-    asymptotic_relative_bound,
     grid_tables,
     relative_uncertainty,
     sample_outcomes,
@@ -534,14 +533,3 @@ class TestRelativeUncertainty:
         entangled_only = {key: row for key, row in small_sweep.items() if key[0] != 0.0}
         with pytest.raises(ValueError, match="baseline alpha 0.0 missing nu=1"):
             relative_uncertainty(entangled_only)
-
-
-class TestAsymptoticBound:
-    def test_values(self):
-        assert asymptotic_relative_bound(2) == pytest.approx(0.70711, abs=5e-6)
-        assert asymptotic_relative_bound(1) == 1.0
-        assert asymptotic_relative_bound(4) == 0.5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            asymptotic_relative_bound(0)
