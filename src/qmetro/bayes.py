@@ -13,6 +13,7 @@ result is bit-identical to that record solved alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,9 @@ MIN_Y = 2.0**-53
 # 2**-1075), so a shifted log density below this is written 0.0 without an
 # exp, whose subnormal and underflowing results are its slowest
 EXP_UNDERFLOW = -746.0
+# a block is solved on the columns where some row's shifted log density
+# exceeds this: a density of 2**-100 of that row's peak
+SUPPORT_CUT = -100.0 * math.log(2.0)
 
 
 class DegenerateEvidenceError(ValueError):
@@ -53,9 +57,10 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class PosteriorGrid:
-    """Normalized posterior density on the nodes of ensemble.grid_tables, which
-    increase strictly by at least the smallest normal float, with its
-    cumulative-mass table, each of shape (G,) for one record or (R, G) for a block."""
+    """Normalized posterior density on a run of G of the nodes of
+    ensemble.grid_tables (a block's support, or all of them), which increase
+    strictly by at least the smallest normal float, with its cumulative-mass
+    table, each of shape (G,) for one record or (R, G) for a block."""
 
     nodes: np.ndarray
     density: np.ndarray
@@ -81,28 +86,27 @@ def _per_record(grid: PosteriorGrid, values: np.ndarray):
     return float(values[0]) if grid.density.ndim == 1 else values
 
 
-def posterior_from_log_profiles(
-    nodes: np.ndarray,
-    log_profiles: np.ndarray,
-    counts: Sequence[int],
-) -> PosteriorGrid:
-    """Posterior from per-node log outcome probabilities (shape (G, K)), as built
-    by ensemble.grid_tables, for one count record or a block of them; a
-    record holds one count per column of the table. The nodes must increase
-    strictly by at least the smallest normal float (grid_tables checks), which
-    keeps the normalized density finite.
+def log_posterior(log_profiles: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """The first step of a posterior: each record's log posterior, shifted so
+    its peak is 0, from per-node log outcome probabilities (shape (G, K)), as
+    built by ensemble.grid_tables, for one count record or a block of them; a
+    record holds one count per column of the table.
 
-    The multinomial prefactor is omitted; it cancels in normalization.
+    Returns a table of shape (2, G) for one record or (2, R, G) for a block:
+    table[0] holds the shifted log densities, and table[1] is the space
+    normalized_posterior writes into. The multinomial prefactor is omitted;
+    it cancels in normalization.
     """
     k = check_counts(counts, log_profiles.shape[1])
     block = np.atleast_2d(k)
-    # the block's density and cumulative tables share one allocation; the
-    # density rows first hold the log posterior
-    density, cumulative = np.empty((2, len(block), len(nodes)))
+    # the log densities and the later density and cumulative tables share one
+    # allocation
+    table = np.empty((2,) + k.shape[:-1] + (len(log_profiles),))
+    log_density = table[0].reshape(len(block), -1)
     nonzero = block > 0
     patterns = (nonzero @ (1 << np.arange(block.shape[1]))).tolist()
     columns = {}  # log_profiles restricted to each pattern of nonzero counts
-    for row, sel, pattern, out in zip(block.astype(float), nonzero, patterns, density):
+    for row, sel, pattern, out in zip(block.astype(float), nonzero, patterns, log_density):
         # one BLAS matvec over the row's nonzero counts, the same call for a
         # lone record and for a block row: zeros never meet a log(0), and
         # every row keeps the BLAS kernel's rounding (fused multiply-adds),
@@ -111,11 +115,35 @@ def posterior_from_log_profiles(
         if pattern not in columns:
             columns[pattern] = log_profiles[:, sel]
         np.matmul(columns[pattern], row[sel], out=out)
-    peak = np.max(density, axis=1)
+    peak = np.max(log_density, axis=1)
     dead = np.flatnonzero(~np.isfinite(peak))
     if dead.size:
         raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {block[dead[0]].tolist()}")
-    density -= peak[:, None]
+    log_density -= peak[:, None]
+    return table
+
+
+def normalized_posterior(nodes: np.ndarray, table: np.ndarray, columns: slice) -> PosteriorGrid:
+    """The second step: each record's normalized density and cumulative table
+    over the given columns of a log_posterior table, whose space it reuses
+    (the table is spent). The grid's nodes are those columns' nodes, which
+    must increase strictly by at least the smallest normal float
+    (grid_tables checks), which keeps the normalized density finite.
+    """
+    size = table.shape[-1]
+    lo, hi, _ = columns.indices(size)
+    log_density = table[0].reshape(-1, size)
+    rows, width = len(log_density), hi - lo
+    if width == size:
+        density, cumulative = log_density, table[1].reshape(rows, size)
+    else:
+        # the window's density takes the start of table[1], then its
+        # cumulative table the start of table[0], whose columns are read by then
+        flat = table.reshape(-1)
+        density = flat[rows * size : rows * (size + width)].reshape(rows, width)
+        density[...] = log_density[:, lo:hi]
+        cumulative = flat[: rows * width].reshape(rows, width)
+    nodes = nodes[lo:hi]
     live = density > EXP_UNDERFLOW
     np.exp(density, out=density, where=live)
     density[~live] = 0.0
@@ -131,9 +159,41 @@ def posterior_from_log_profiles(
     norm = cumulative[:, -1:].copy()
     density /= norm
     cumulative /= norm
-    if k.ndim == 1:
+    if table.ndim == 2:
         density, cumulative = density[0], cumulative[0]
     return PosteriorGrid(nodes=nodes, density=density, cumulative=cumulative)
+
+
+def posterior_from_log_profiles(
+    nodes: np.ndarray,
+    log_profiles: np.ndarray,
+    counts: Sequence[int],
+) -> PosteriorGrid:
+    """Posterior of one count record or a block of them (see log_posterior),
+    solved on the block's support: the columns where some row's density is
+    above SUPPORT_CUT of its peak, and one node on each side, clipped to the
+    grid. Its nodes are that slice of the grid's; most_probable and
+    min_confidence_interval give the bits of the every-node posterior,
+    normalized_posterior(nodes, log_posterior(...), slice(None)).
+
+    Why the bits agree. A dropped column's density is below 2**-100 of each
+    row's peak, while the segments beside the peak alone hold at least half
+    of peak * dx, so the dropped mass is at most 2 G 2**-100 of a row's
+    total (2**-88 at G = 1024). Each segment past the window is below half
+    an ulp of the running sum it would be added to, so it leaves that sum,
+    the total and the normalization as they are. The segments before the
+    window shift each cumulative value by at most that 2 G 2**-100 of the
+    total. Near y and 1 - y, which the search compares with and which are
+    both at least 2**-53, that is at most 2**-35 of a value at G = 1024, so
+    a comparison or a rounding can change only where a value lies that
+    close to y or to a rounding boundary. The mode is the same node: each
+    row's peak, at shifted log density 0, is in the support.
+    tests/test_bayes.py checks both solves bit for bit.
+    """
+    table = log_posterior(log_profiles, counts)
+    size = table.shape[-1]
+    support = np.flatnonzero(table[0].reshape(-1, size).max(axis=0) > SUPPORT_CUT)
+    return normalized_posterior(nodes, table, slice(max(support[0] - 1, 0), support[-1] + 2))
 
 
 def most_probable(grid: PosteriorGrid) -> float | np.ndarray:

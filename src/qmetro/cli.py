@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import bayes, ensemble, quantum, report, svgplot
-from .config import ExperimentConfig, parse_config
+from .config import PARSERS, ExperimentConfig, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,14 +53,19 @@ def cmd_probs(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 
 def cmd_posterior(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    out = Path(ns.output)
+    try:
+        out = Path(PARSERS["output"](ns.output))
+    except ValueError as exc:
+        raise ValueError(f"--output: {exc}") from None
     if ns.plot and out.suffix == ".svg":
         raise ValueError(f"--output {ns.output!r} is the path --plot writes the SVG to")
     counts = _parse_counts(ns.counts)
     # a config file means the same to both commands: it must be valid for a sweep
     ensemble.check_sweep(cfg)
     nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, cfg.noise, cfg.domain, cfg.grid_size)
-    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, ensemble.sufficient_records(counts, merge))
+    # every node is printed, so the posterior is normalized over every column
+    table = bayes.log_posterior(log_profiles, ensemble.sufficient_records(counts, merge))
+    grid = bayes.normalized_posterior(nodes, table, slice(None))
 
     lines = ["phi,density"]
     lines += [

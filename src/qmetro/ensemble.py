@@ -49,8 +49,9 @@ record among all of its draws (for a histogram cell, among the records drawn
 at some angle). The draws themselves are over 4-count records, merged only
 after sampling, so the seed contract does not depend on the table. The
 distinct records are solved in blocks of rows, one posterior, most-probable
-and shortest-interval call per block; each record's estimate is
-bit-identical to that record solved alone.
+and shortest-interval call per block, on the block's support; each record's
+estimate is bit-identical to that record solved alone, and to it solved over
+every node.
 
 A sweep reads every setting from one ExperimentConfig, which each cell
 receives whole with its own alpha and nu. It returns one SweepRow per cell,
@@ -313,7 +314,8 @@ def _estimates(
     """The most probable value and the shortest-interval length of each row of
     an (N, K) array of distinct sufficient records: shape (2, N)."""
     # solve them in blocks of 32768 grid values (32 rows of a 1024-node
-    # grid): a block's density and cumulative tables take 512 KiB
+    # grid): a block's log posterior table takes 512 KiB, and its density and
+    # cumulative tables, over the block's support, reuse that allocation
     block = max(1, 32768 // cfg.grid_size)
     estimates = np.empty((2, len(records)))
     for start in range(0, len(records), block):

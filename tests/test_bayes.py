@@ -1,5 +1,6 @@
 """Posterior construction, most-probable value, and confidence-interval search."""
 
+import itertools
 import pickle
 import re
 
@@ -14,8 +15,10 @@ from qmetro.bayes import (
     MIN_Y,
     ConvergenceError,
     DegenerateEvidenceError,
+    log_posterior,
     min_confidence_interval,
     most_probable,
+    normalized_posterior,
     posterior_from_log_profiles,
 )
 from qmetro.ensemble import grid_tables, sufficient_records
@@ -42,6 +45,11 @@ def posterior(alpha, counts, domain=(0.0, HALF_PI), grid_size=DEFAULT_GRID_SIZE)
     """Noiseless-probe posterior through the table builder the sweep uses."""
     nodes, log_profiles, merge = grid_tables(alpha, NOISELESS, domain, grid_size)
     return posterior_from_log_profiles(nodes, log_profiles, sufficient_records(counts, merge))
+
+
+def every_node_posterior(nodes, log_profiles, counts):
+    """The posterior normalized over every node, as qmetro posterior prints it."""
+    return normalized_posterior(nodes, log_posterior(log_profiles, counts), slice(None))
 
 
 def custom_posterior(profile_at, counts):
@@ -193,14 +201,14 @@ class TestMinConfidenceInterval:
         record = np.random.default_rng(seed).multinomial(nu, p / p.sum())
         grid = posterior_from_log_profiles(nodes, log_profiles, sufficient_records(record, merge))
         ci = min_confidence_interval(grid, y)
-        a, b, _ = min_confidence_interval_loop(nodes, grid.density, grid.cumulative, y, 1e-12)
+        a, b, _ = min_confidence_interval_loop(grid.nodes, grid.density, grid.cumulative, y, 1e-12)
         assert ci.length == pytest.approx(b - a, rel=1e-9, abs=0.0)
         # A node-aligned interval that holds y can be shaved at either end
         # to one that holds y exactly, and the search returns the shortest
         # such shave. It compares masses with y itself, not y - tau, so no
         # node-aligned interval holding y is shorter.
-        c = grid.cumulative
-        spans = (nodes[None, :] - nodes[:, None])[c[None, :] - c[:, None] >= y]
+        c, x = grid.cumulative, grid.nodes
+        spans = (x[None, :] - x[:, None])[c[None, :] - c[:, None] >= y]
         assert spans.min() >= ci.length - 1e-12
 
     @pytest.mark.parametrize(
@@ -378,8 +386,9 @@ class TestBlocks:
         assert len(records) > BLOCK + 1
         references = [posterior_loop(nodes, log_profiles, record) for record in records]
         for record, (density, cumulative) in zip(records, references):
-            # a lone record matches the step-by-step reference bit for bit
-            grid = posterior_from_log_profiles(nodes, log_profiles, record)
+            # a lone record over every node matches the step-by-step
+            # reference bit for bit
+            grid = every_node_posterior(nodes, log_profiles, record)
             assert bits(grid.density) == bits(density)
             assert bits(grid.cumulative) == bits(cumulative)
         single = [solve(nodes, log_profiles, r) for r in records]
@@ -428,7 +437,7 @@ class TestBlocks:
     def test_single_record_returns_floats(self):
         grid = posterior(0.4, [3, 1, 2, 4])
         ci = min_confidence_interval(grid)
-        assert grid.density.shape == grid.cumulative.shape == (DEFAULT_GRID_SIZE,)
+        assert grid.density.shape == grid.cumulative.shape == (len(grid.nodes),)
         assert type(most_probable(grid)) is float
         assert all(type(v) is float for v in (ci.a, ci.b, ci.mass))
 
@@ -483,9 +492,59 @@ class TestBlocks:
         nodes, log_profiles, merge = grid_tables(alpha, noise, (0.0, HALF_PI), 257)
         records = sufficient_records(sampled_records(alpha, noise, nus, 1, seed), merge)
         grid = posterior_from_log_profiles(nodes, log_profiles, records)
-        assert np.allclose(np.trapezoid(grid.density, nodes, axis=1), 1.0, rtol=0.0, atol=1e-9)
+        assert np.allclose(np.trapezoid(grid.density, grid.nodes, axis=1), 1.0, rtol=0.0, atol=1e-9)
         ci = min_confidence_interval(grid, y=0.95, tau=1e-3)
         assert np.all(np.abs(ci.mass - 0.95) <= ROOT_ULPS * np.spacing(0.95))
+
+
+# the target masses the support test spans, from the least to the most allowed
+SUPPORT_YS = (2.0**-52, 0.05, 0.95, 1 - 2.0**-53)
+
+
+class TestSupport:
+    @pytest.mark.parametrize("alpha", [0.0, 1 / 6, 0.5, 1.0])
+    def test_support_solve_matches_every_node_solve(self, alpha):
+        # A block, or a lone record, solved on its support gives the
+        # every-node solve's most probable value and interval bit for bit,
+        # and drops only columns below 2**-100 of each row's peak. On (0, pi)
+        # the entangled probes' posteriors can have two modes, and a window
+        # then spans both.
+        rng = np.random.default_rng(24)
+        widths, two_modes = {}, False
+        cases = itertools.product((1.0, 0.9), ((0.0, HALF_PI), (0.0, np.pi)), (3, 64, 1024))
+        for eta, domain, grid_size in cases:
+            noise = NoiseModel(eta, 5)
+            nodes, log_profiles, merge = grid_tables(alpha, noise, domain, grid_size)
+            for nu in (0, 1, 10, 300, 3000, 10**8):
+                records = []
+                for phi in rng.uniform(*domain, BLOCK):
+                    p = measurement_probabilities(alpha, phi, noise)
+                    records.append(rng.multinomial(nu, p / p.sum()))
+                records = sufficient_records(np.array(records), merge)
+                for counts in [records, *records[:4]]:
+                    grid = posterior_from_log_profiles(nodes, log_profiles, counts)
+                    every = every_node_posterior(nodes, log_profiles, counts)
+                    lo = np.searchsorted(nodes, grid.nodes[0])
+                    window = slice(lo, lo + len(grid.nodes))
+                    assert bits(grid.nodes) == bits(nodes[window])
+                    widths.setdefault(nu, []).append(len(grid.nodes) / grid_size)
+                    density = np.atleast_2d(every.density)
+                    outside = np.ones(grid_size, dtype=bool)
+                    outside[window] = False
+                    floor = 2.0**-100 * density.max(axis=1, keepdims=True)
+                    assert np.all(density[:, outside] < floor)
+                    if domain[1] == np.pi:
+                        # a row whose live columns leave a gap inside the window
+                        live = density[:, window] >= floor
+                        first, last = live.argmax(axis=1), live.shape[1] - live[:, ::-1].argmax(axis=1)
+                        two_modes |= bool(np.any(last - first > live.sum(axis=1)))
+                    assert bits(most_probable(grid)) == bits(most_probable(every))
+                    for y in SUPPORT_YS:
+                        ci, ci_every = min_confidence_interval(grid, y), min_confidence_interval(every, y)
+                        assert bits((ci.a, ci.b, ci.mass)) == bits((ci_every.a, ci_every.b, ci_every.mass))
+        assert min(widths[3000]) < 1.0
+        assert max(widths[0]) == min(widths[0]) == 1.0
+        assert two_modes == (alpha in (1 / 6, 0.5))
 
 
 def scaled(mantissa, exponent):

@@ -178,11 +178,22 @@ class TestPosteriorCommand:
         def explode(*args, **kwargs):
             raise DegenerateEvidenceError("likelihood is zero everywhere for counts [1, 0, 0, 0]")
 
-        monkeypatch.setattr(cli_mod.bayes, "posterior_from_log_profiles", explode)
+        monkeypatch.setattr(cli_mod.bayes, "log_posterior", explode)
         out = tmp_path / "post.csv"
         code = main(["posterior", "--counts", "1,0,0,0", "--output", str(out)])
         assert code == 3
         assert "counts" in capsys.readouterr().err
+
+    def test_empty_output_rejected(self, tmp_path, capsys, monkeypatch):
+        # checked like the output config key, before any posterior is solved
+        import qmetro.cli as cli_mod
+
+        monkeypatch.chdir(tmp_path)
+        checked = []
+        monkeypatch.setattr(cli_mod.ensemble, "check_sweep", checked.append)
+        assert main(["posterior", "--counts", "300,40,50,310", "--output", ""]) == 2
+        assert "error: --output: empty path" in capsys.readouterr().err
+        assert checked == [] and not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "flag, value, named",
