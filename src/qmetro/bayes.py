@@ -24,10 +24,6 @@ DEFAULT_Y = 0.95  # posterior mass of the confidence interval
 DEFAULT_TAU = 1e-3  # tolerance the interval's mass is checked against
 # the least target mass that changes a cumulative mass it is added to, 1 included
 MIN_Y = 2.0**-53
-# exp rounds to exactly 0.0 below about -745.13 (half the least subnormal,
-# 2**-1075), so a shifted log density below this is written 0.0 without an
-# exp, whose subnormal and underflowing results are its slowest
-EXP_UNDERFLOW = -746.0
 # a block is solved on the columns where some row's shifted log density
 # exceeds this: a density of 2**-100 of that row's peak
 SUPPORT_CUT = -100.0 * math.log(2.0)
@@ -94,8 +90,8 @@ def log_posterior(log_profiles: np.ndarray, counts: Sequence[int]) -> np.ndarray
 
     Returns a table of shape (2, G) for one record or (2, R, G) for a block:
     table[0] holds the shifted log densities, and table[1] is the space
-    normalized_posterior writes into. The multinomial prefactor is omitted;
-    it cancels in normalization.
+    normalized_posterior copies a window of them into. The multinomial
+    prefactor is omitted; it cancels in normalization.
     """
     k = check_counts(counts, log_profiles.shape[1])
     block = np.atleast_2d(k)
@@ -126,33 +122,26 @@ def log_posterior(log_profiles: np.ndarray, counts: Sequence[int]) -> np.ndarray
 def normalized_posterior(nodes: np.ndarray, table: np.ndarray, columns: slice) -> PosteriorGrid:
     """The second step: each record's normalized density and cumulative table
     over the given columns of a log_posterior table, whose space it reuses
-    (the table is spent). The grid's nodes are those columns' nodes, which
-    must increase strictly by at least the smallest normal float
-    (grid_tables checks), which keeps the normalized density finite.
+    (the table is spent). Every window, the whole grid included, is copied
+    to the front of table[1] as a contiguous (R, W) density, and its
+    cumulative table takes the front of table[0]. The grid's nodes are those
+    columns' nodes, which must increase strictly by at least the smallest
+    normal float (grid_tables checks), which keeps the normalized density
+    finite.
     """
     size = table.shape[-1]
     lo, hi, _ = columns.indices(size)
     log_density = table[0].reshape(-1, size)
     rows, width = len(log_density), hi - lo
-    if width == size:
-        density, cumulative = log_density, table[1].reshape(rows, size)
-    else:
-        # the window's density takes the start of table[1], then its
-        # cumulative table the start of table[0], whose columns are read by then
-        flat = table.reshape(-1)
-        density = flat[rows * size : rows * (size + width)].reshape(rows, width)
-        density[...] = log_density[:, lo:hi]
-        cumulative = flat[: rows * width].reshape(rows, width)
+    # views of both fronts; the log densities are copied out before the
+    # cumulative table is written over them
+    cumulative, density = table.reshape(2, -1)[:, : rows * width].reshape(2, rows, width)
+    density[...] = log_density[:, lo:hi]
     nodes = nodes[lo:hi]
-    live = density > EXP_UNDERFLOW
-    np.exp(density, out=density, where=live)
-    density[~live] = 0.0
-    # trapezoid segment masses, segment k at column k + 1, summed along the
-    # flat buffer so no step is strided; the sums that straddle two rows
-    # land in column 0, which the zero width of its step clears
-    flat_cumulative, flat_density = cumulative.reshape(-1), density.reshape(-1)
-    flat_cumulative[0] = 0.0
-    np.add(flat_density[1:], flat_density[:-1], out=flat_cumulative[1:])
+    np.exp(density, out=density)
+    # trapezoid segment masses, segment k at column k + 1
+    cumulative[:, 0] = 0.0
+    np.add(density[:, 1:], density[:, :-1], out=cumulative[:, 1:])
     cumulative *= 0.5
     cumulative *= np.concatenate(([0.0], np.diff(nodes)))
     np.cumsum(cumulative, axis=1, out=cumulative)

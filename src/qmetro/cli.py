@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import bayes, ensemble, quantum, report, svgplot
-from .config import PARSERS, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -22,7 +22,7 @@ EXIT_IO = 4
 # the config keys each command also takes as a flag (--n-steps sets n_steps)
 SETTING_FLAGS = {
     "probs": ("eta", "n_steps"),
-    "posterior": ("eta", "n_steps", "domain", "grid_size"),
+    "posterior": ("eta", "n_steps", "domain", "grid_size", "output"),
     "sweep": ("seed", "output"),
 }
 
@@ -53,12 +53,9 @@ def cmd_probs(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 
 def cmd_posterior(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    try:
-        out = Path(PARSERS["output"](ns.output))
-    except ValueError as exc:
-        raise ValueError(f"--output: {exc}") from None
+    out = Path(cfg.output)
     if ns.plot and out.suffix == ".svg":
-        raise ValueError(f"--output {ns.output!r} is the path --plot writes the SVG to")
+        raise ValueError(f"--output {cfg.output!r} is the path --plot writes the SVG to")
     counts = _parse_counts(ns.counts)
     # a config file means the same to both commands: it must be valid for a sweep
     ensemble.check_sweep(cfg)
@@ -136,9 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--counts", default="0,0,0,0", help="k_dd,k_du,k_ud,k_uu")
     _add_setting_flags(p, "posterior")
-    p.add_argument("--output", default="posterior.csv")
     p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=cmd_posterior)
+    p.set_defaults(func=cmd_posterior, output="posterior.csv")
 
     p = sub.add_parser("sweep", help="run the Monte Carlo sweep and write the results CSV")
     p.add_argument("--config", default=None)

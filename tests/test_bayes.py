@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 
 from qmetro.bayes import (
     DEFAULT_GRID_SIZE,
-    EXP_UNDERFLOW,
     MIN_Y,
     ConvergenceError,
     DegenerateEvidenceError,
@@ -418,21 +417,23 @@ class TestBlocks:
         assert {(False, True), (True, False)} <= ends
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1 / 3], ids=["separable", "bell", "third"])
-    def test_dead_nodes_match_plain_exp(self, alpha):
-        # a block of nu = 3000 records, whose posteriors are dead (below
-        # EXP_UNDERFLOW) at many nodes and subnormal at some, matches a plain
-        # np.exp over every node bit for bit
+    def test_underflowing_block_matches_posterior_loop(self, alpha):
+        # a block of nu = 3000 records, whose exp rounds to 0 at many nodes
+        # and to a subnormal at some, solved over the whole grid (the union
+        # of its rows' supports), matches the loop posterior bit for bit
         nodes, log_profiles, merge = grid_tables(alpha, NOISELESS, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
         records = sufficient_records(sampled_records(alpha, NOISELESS, (3000,), BLOCK, seed=3), merge)
         grid = posterior_from_log_profiles(nodes, log_profiles, records)
+        assert bits(grid.nodes) == bits(nodes)
         for record, density, cumulative in zip(records, grid.density, grid.cumulative):
             reference = posterior_loop(nodes, log_profiles, record)
             assert bits(density) == bits(reference[0]) and bits(cumulative) == bits(reference[1])
         nonzero = records > 0
         shifted = np.array([log_profiles[:, sel] @ k[sel] for k, sel in zip(records.astype(float), nonzero)])
         shifted -= shifted.max(axis=1, keepdims=True)
-        assert (shifted < EXP_UNDERFLOW).mean() > 0.25
-        assert np.any((shifted > EXP_UNDERFLOW) & (shifted < np.log(np.finfo(float).tiny)))
+        # exp is exactly 0.0 below about -745.13 (half the least subnormal, 2**-1075)
+        assert (shifted < -746.0).mean() > 0.25
+        assert np.any((shifted > -746.0) & (shifted < np.log(np.finfo(float).tiny)))
 
     def test_single_record_returns_floats(self):
         grid = posterior(0.4, [3, 1, 2, 4])
