@@ -53,10 +53,11 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class PosteriorGrid:
-    """Normalized posterior density on a run of G of the nodes of
-    ensemble.grid_tables (a block's support, or all of them), which increase
-    strictly by at least the smallest normal float, with its cumulative-mass
-    table, each of shape (G,) for one record or (R, G) for a block."""
+    """Normalized posterior density on a run of G >= 2 of the nodes of
+    ensemble.grid_tables (a block's support, or the columns its caller
+    names), which increase strictly by at least the smallest normal float,
+    with its cumulative-mass table, each of shape (G,) for one record or
+    (R, G) for a block."""
 
     nodes: np.ndarray
     density: np.ndarray
@@ -82,88 +83,24 @@ def _per_record(grid: PosteriorGrid, values: np.ndarray):
     return float(values[0]) if grid.density.ndim == 1 else values
 
 
-def log_posterior(log_profiles: np.ndarray, counts: Sequence[int]) -> np.ndarray:
-    """The first step of a posterior: each record's log posterior, shifted so
-    its peak is 0, from per-node log outcome probabilities (shape (G, K)), as
-    built by ensemble.grid_tables, for one count record or a block of them; a
-    record holds one count per column of the table.
-
-    Returns a table of shape (2, G) for one record or (2, R, G) for a block:
-    table[0] holds the shifted log densities, and table[1] is the space
-    normalized_posterior copies a window of them into. The multinomial
-    prefactor is omitted; it cancels in normalization.
-    """
-    k = check_counts(counts, log_profiles.shape[1])
-    block = np.atleast_2d(k)
-    # the log densities and the later density and cumulative tables share one
-    # allocation
-    table = np.empty((2,) + k.shape[:-1] + (len(log_profiles),))
-    log_density = table[0].reshape(len(block), -1)
-    nonzero = block > 0
-    patterns = (nonzero @ (1 << np.arange(block.shape[1]))).tolist()
-    columns = {}  # log_profiles restricted to each pattern of nonzero counts
-    for row, sel, pattern, out in zip(block.astype(float), nonzero, patterns, log_density):
-        # one BLAS matvec over the row's nonzero counts, the same call for a
-        # lone record and for a block row: zeros never meet a log(0), and
-        # every row keeps the BLAS kernel's rounding (fused multiply-adds),
-        # which an element-wise sum over the outcomes would not reproduce;
-        # an all-zero record selects no column, and the product writes 0.0
-        if pattern not in columns:
-            columns[pattern] = log_profiles[:, sel]
-        np.matmul(columns[pattern], row[sel], out=out)
-    peak = np.max(log_density, axis=1)
-    dead = np.flatnonzero(~np.isfinite(peak))
-    if dead.size:
-        raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {block[dead[0]].tolist()}")
-    log_density -= peak[:, None]
-    return table
-
-
-def normalized_posterior(nodes: np.ndarray, table: np.ndarray, columns: slice) -> PosteriorGrid:
-    """The second step: each record's normalized density and cumulative table
-    over the given columns of a log_posterior table, whose space it reuses
-    (the table is spent). Every window, the whole grid included, is copied
-    to the front of table[1] as a contiguous (R, W) density, and its
-    cumulative table takes the front of table[0]. The grid's nodes are those
-    columns' nodes, which must increase strictly by at least the smallest
-    normal float (grid_tables checks), which keeps the normalized density
-    finite.
-    """
-    size = table.shape[-1]
-    lo, hi, _ = columns.indices(size)
-    log_density = table[0].reshape(-1, size)
-    rows, width = len(log_density), hi - lo
-    # views of both fronts; the log densities are copied out before the
-    # cumulative table is written over them
-    cumulative, density = table.reshape(2, -1)[:, : rows * width].reshape(2, rows, width)
-    density[...] = log_density[:, lo:hi]
-    nodes = nodes[lo:hi]
-    np.exp(density, out=density)
-    # trapezoid segment masses, segment k at column k + 1
-    cumulative[:, 0] = 0.0
-    np.add(density[:, 1:], density[:, :-1], out=cumulative[:, 1:])
-    cumulative *= 0.5
-    cumulative *= np.concatenate(([0.0], np.diff(nodes)))
-    np.cumsum(cumulative, axis=1, out=cumulative)
-    norm = cumulative[:, -1:].copy()
-    density /= norm
-    cumulative /= norm
-    if table.ndim == 2:
-        density, cumulative = density[0], cumulative[0]
-    return PosteriorGrid(nodes=nodes, density=density, cumulative=cumulative)
-
-
 def posterior_from_log_profiles(
     nodes: np.ndarray,
     log_profiles: np.ndarray,
     counts: Sequence[int],
+    *,
+    columns: slice | None = None,
 ) -> PosteriorGrid:
-    """Posterior of one count record or a block of them (see log_posterior),
-    solved on the block's support: the columns where some row's density is
-    above SUPPORT_CUT of its peak, and one node on each side, clipped to the
-    grid. Its nodes are that slice of the grid's; most_probable and
-    min_confidence_interval give the bits of the every-node posterior,
-    normalized_posterior(nodes, log_posterior(...), slice(None)).
+    """Posterior of one count record or a block of them, from per-node log
+    outcome probabilities (shape (G, K)), as built by ensemble.grid_tables; a
+    record holds one count per column of the table. The multinomial prefactor
+    is omitted; it cancels in normalization.
+
+    The grid is the given columns of the nodes, a step-1 slice of at least
+    two (slice(None) for all of them), or by default the block's support:
+    the columns where some row's density is above SUPPORT_CUT of its peak,
+    and one node on each side, clipped to the grid. most_probable and
+    min_confidence_interval give the bits of the every-node posterior on
+    the support.
 
     Why the bits agree. A dropped column's density is below 2**-100 of each
     row's peak, while the segments beside the peak alone hold at least half
@@ -179,10 +116,57 @@ def posterior_from_log_profiles(
     row's peak, at shifted log density 0, is in the support.
     tests/test_bayes.py checks both solves bit for bit.
     """
-    table = log_posterior(log_profiles, counts)
-    size = table.shape[-1]
-    support = np.flatnonzero(table[0].reshape(-1, size).max(axis=0) > SUPPORT_CUT)
-    return normalized_posterior(nodes, table, slice(max(support[0] - 1, 0), support[-1] + 2))
+    k = check_counts(counts, log_profiles.shape[1])
+    block = np.atleast_2d(k)
+    size = len(log_profiles)
+    # one allocation per block: the shifted log densities fill table[0]; the
+    # window's density is then copied to the front of table[1], and its
+    # cumulative table written over the front of table[0]
+    table = np.empty((2, len(block), size))
+    log_density = table[0]
+    nonzero = block > 0
+    patterns = (nonzero @ (1 << np.arange(block.shape[1]))).tolist()
+    selected = {}  # log_profiles restricted to each pattern of nonzero counts
+    for row, sel, pattern, out in zip(block.astype(float), nonzero, patterns, log_density):
+        # one BLAS matvec over the row's nonzero counts, the same call for a
+        # lone record and for a block row: zeros never meet a log(0), and
+        # every row keeps the BLAS kernel's rounding (fused multiply-adds),
+        # which an element-wise sum over the outcomes would not reproduce;
+        # an all-zero record selects no column, and the product writes 0.0
+        if pattern not in selected:
+            selected[pattern] = log_profiles[:, sel]
+        np.matmul(selected[pattern], row[sel], out=out)
+    peak = np.max(log_density, axis=1)
+    dead = np.flatnonzero(~np.isfinite(peak))
+    if dead.size:
+        raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {block[dead[0]].tolist()}")
+    log_density -= peak[:, None]
+    if columns is None:
+        support = np.flatnonzero(log_density.max(axis=0) > SUPPORT_CUT)
+        columns = slice(max(support[0] - 1, 0), support[-1] + 2)
+    window = range(size)[columns] if isinstance(columns, slice) and columns.step in (None, 1) else range(0)
+    if len(window) < 2:
+        raise ValueError(f"columns must be a step-1 slice of at least 2 of the {size} grid nodes, got {columns!r}")
+    lo, hi = window.start, window.stop
+    rows, width = len(block), hi - lo
+    # views of both fronts; the log densities are copied out before the
+    # cumulative table is written over them
+    cumulative, density = table.reshape(2, -1)[:, : rows * width].reshape(2, rows, width)
+    density[...] = log_density[:, lo:hi]
+    nodes = nodes[lo:hi]
+    np.exp(density, out=density)
+    # trapezoid segment masses, segment k at column k + 1
+    cumulative[:, 0] = 0.0
+    np.add(density[:, 1:], density[:, :-1], out=cumulative[:, 1:])
+    cumulative *= 0.5
+    cumulative *= np.concatenate(([0.0], np.diff(nodes)))
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    norm = cumulative[:, -1:].copy()
+    density /= norm
+    cumulative /= norm
+    if k.ndim == 1:
+        density, cumulative = density[0], cumulative[0]
+    return PosteriorGrid(nodes=nodes, density=density, cumulative=cumulative)
 
 
 def most_probable(grid: PosteriorGrid) -> float | np.ndarray:

@@ -53,16 +53,17 @@ def cmd_probs(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 
 def cmd_posterior(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    out = Path(cfg.output)
+    out = Path(cfg.output or "posterior.csv")
     if ns.plot and out.suffix == ".svg":
-        raise ValueError(f"--output {cfg.output!r} is the path --plot writes the SVG to")
+        where = "output" if ns.output is None else "--output"
+        raise ValueError(f"{where} {cfg.output!r} is the path --plot writes the SVG to")
     counts = _parse_counts(ns.counts)
     # a config file means the same to both commands: it must be valid for a sweep
     ensemble.check_sweep(cfg)
     nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, cfg.noise, cfg.domain, cfg.grid_size)
     # every node is printed, so the posterior is normalized over every column
-    table = bayes.log_posterior(log_profiles, ensemble.sufficient_records(counts, merge))
-    grid = bayes.normalized_posterior(nodes, table, slice(None))
+    records = ensemble.sufficient_records(counts, merge)
+    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, records, columns=slice(None))
 
     lines = ["phi,density"]
     lines += [
@@ -87,7 +88,7 @@ def cmd_sweep(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if baseline in cfg.alphas:
         result = ensemble.relative_uncertainty(result)
 
-    out = Path(cfg.output)
+    out = Path(cfg.output or "results.csv")
     out.write_text(report.render_csv(report.rows_from_sweep(result)), encoding="utf-8")
 
     if ns.plot:
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default="0,0,0,0", help="k_dd,k_du,k_ud,k_uu")
     _add_setting_flags(p, "posterior")
     p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=cmd_posterior, output="posterior.csv")
+    p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("sweep", help="run the Monte Carlo sweep and write the results CSV")
     p.add_argument("--config", default=None)

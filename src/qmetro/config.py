@@ -26,7 +26,8 @@ class ExperimentConfig:
     a sweep and each of its cells read their settings from.
 
     n_e and n_phi left as None resolve by eta when the record is built: 1000
-    trials at 20 angles without dephasing (eta = 1), else 500 at 10.
+    trials at 20 angles without dephasing (eta = 1), else 500 at 10. output
+    left as None is each command's own default path.
     """
 
     alphas: tuple[float, ...] = (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5)
@@ -40,7 +41,7 @@ class ExperimentConfig:
     tau: float = DEFAULT_TAU
     domain: tuple[float, float] = DEFAULT_DOMAIN
     seed: int = 0
-    output: str = "results.csv"
+    output: str | None = None
 
     def __post_init__(self):
         noiseless = self.eta == 1.0

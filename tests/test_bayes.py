@@ -14,10 +14,8 @@ from qmetro.bayes import (
     MIN_Y,
     ConvergenceError,
     DegenerateEvidenceError,
-    log_posterior,
     min_confidence_interval,
     most_probable,
-    normalized_posterior,
     posterior_from_log_profiles,
 )
 from qmetro.ensemble import grid_tables, sufficient_records
@@ -48,7 +46,7 @@ def posterior(alpha, counts, domain=(0.0, HALF_PI), grid_size=DEFAULT_GRID_SIZE)
 
 def every_node_posterior(nodes, log_profiles, counts):
     """The posterior normalized over every node, as qmetro posterior prints it."""
-    return normalized_posterior(nodes, log_posterior(log_profiles, counts), slice(None))
+    return posterior_from_log_profiles(nodes, log_profiles, counts, columns=slice(None))
 
 
 def custom_posterior(profile_at, counts):
@@ -546,6 +544,18 @@ class TestSupport:
         assert min(widths[3000]) < 1.0
         assert max(widths[0]) == min(widths[0]) == 1.0
         assert two_modes == (alpha in (1 / 6, 0.5))
+
+    @pytest.mark.parametrize(
+        "columns",
+        [slice(5, 6), slice(5, 5), slice(0, 10, 2), slice(-1, None), 5],
+        ids=["one-node", "empty", "step-2", "last-node", "not-a-slice"],
+    )
+    def test_window_without_two_nodes_rejected(self, columns):
+        # a lone node has no segment to normalize by, and a strided window is
+        # not a run of nodes; the warnings filter makes any numpy warning fail
+        nodes, log_profiles, merge = grid_tables(0.5, NOISELESS, (0.0, HALF_PI), 64)
+        with pytest.raises(ValueError, match=re.escape(f"got {columns!r}")):
+            posterior_from_log_profiles(nodes, log_profiles, sufficient_records([3, 1, 2, 4], merge), columns=columns)
 
 
 def scaled(mantissa, exponent):

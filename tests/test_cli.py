@@ -178,7 +178,7 @@ class TestPosteriorCommand:
         def explode(*args, **kwargs):
             raise DegenerateEvidenceError("likelihood is zero everywhere for counts [1, 0, 0, 0]")
 
-        monkeypatch.setattr(cli_mod.bayes, "log_posterior", explode)
+        monkeypatch.setattr(cli_mod.bayes, "posterior_from_log_profiles", explode)
         out = tmp_path / "post.csv"
         code = main(["posterior", "--counts", "1,0,0,0", "--output", str(out)])
         assert code == 3
@@ -275,11 +275,32 @@ class TestPosteriorCommand:
         assert outputs[0] == outputs[1]
 
     def test_plot_over_own_output_rejected(self, tmp_path, capsys):
-        # the SVG would be written over the CSV at the same path
-        out = tmp_path / "p.svg"
+        # the SVG would be written over the CSV at the same path; the message
+        # names the flag or the config key that set it
+        out, cfg = tmp_path / "p.svg", tmp_path / "p.cfg"
         assert main(["posterior", "--counts", "1,2,3,4", "--output", str(out), "--plot"]) == 2
-        assert f"--output '{out}' is the path --plot writes the SVG to" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert f"error: --output '{out}' is the path --plot writes the SVG to" in capsys.readouterr().err
+        cfg.write_text(f"output={out}\n")
+        assert main(["posterior", "--config", str(cfg), "--counts", "1,2,3,4", "--plot"]) == 2
+        assert f"error: output '{out}' is the path --plot writes the SVG to" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "in_file, flag, written",
+        [
+            ("output=fromcfg.csv\n", None, "fromcfg.csv"),
+            ("output=fromcfg.csv\n", "flag.csv", "flag.csv"),
+            ("", None, "posterior.csv"),
+        ],
+        ids=["file", "flag-over-file", "default"],
+    )
+    def test_output_precedence(self, tmp_path, monkeypatch, in_file, flag, written):
+        # the flag, then the config file, then the command's own default
+        monkeypatch.chdir(tmp_path)
+        Path("p.cfg").write_text(in_file)
+        argv = ["posterior", "--config", "p.cfg", "--counts", "3,1,2,4"]
+        assert main(argv + (["--output", flag] if flag else [])) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [written]
 
     def test_plot_emitted_and_deterministic(self, tmp_path):
         out = tmp_path / "post.csv"
@@ -413,6 +434,32 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config_path), "--output", str(out), "--plot"]) == 0
         assert (tmp_path / "r_absolute.svg").read_text().count("<circle") == 2
         assert not (tmp_path / "r_relative.svg").exists()
+
+    def test_bits_hold_for_one_blas_kernel(self, tmp_path):
+        # A seed and config fix a sweep's bytes only under one numpy build, SIMD
+        # dispatch level and BLAS kernel. OpenBLAS's Prescott kernel rounds the
+        # log-likelihood matvecs differently from a newer one, which moves last
+        # digits of the printed lengths and SDs, and no more than that.
+        config = tmp_path / "k.cfg"
+        config.write_text("alphas=0,0.5\nnus=100,1000\nn_e=40\nn_phi=4\ngrid_size=256\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        texts = []
+        for i, kernel in enumerate(({}, {}, {"OPENBLAS_CORETYPE": "Prescott"})):
+            out = tmp_path / f"r{i}.csv"
+            argv = ["sweep", "--config", str(config), "--seed", "1", "--output", str(out)]
+            subprocess.run([sys.executable, "-m", "qmetro.cli", *argv], env={**env, **kernel}, check=True)
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        for row, other in zip(parse_csv(texts[0]), parse_csv(texts[2]), strict=True):
+            for field, value in row._asdict().items():
+                # an SD is compared against its row's mean: it can be a
+                # difference of values that agree to their last digits
+                scale = getattr(row, field.replace("sigma", "mu"))
+                if isinstance(value, float):
+                    assert abs(getattr(other, field) - value) <= 1e-10 * abs(scale), (row, field)
+                else:
+                    assert getattr(other, field) == value
 
     def test_import_loads_no_process_pool(self):
         # a serial run never starts a pool, so the CLI imports it only where one starts
