@@ -27,6 +27,9 @@ MIN_Y = 2.0**-53
 # a block is solved on the columns where some row's shifted log density
 # exceeds this: a density of 2**-100 of that row's peak
 SUPPORT_CUT = -100.0 * math.log(2.0)
+# log 0 in a log-probability table counts as this: a zero count adds exactly
+# -0.0, and any int64 counts in 4 columns times it sum to a finite float
+LOG_FLOOR = -1e280
 
 
 class DegenerateEvidenceError(ValueError):
@@ -124,20 +127,13 @@ def posterior_from_log_profiles(
     # cumulative table written over the front of table[0]
     table = np.empty((2, len(block), size))
     log_density = table[0]
-    nonzero = block > 0
-    patterns = (nonzero @ (1 << np.arange(block.shape[1]))).tolist()
-    selected = {}  # log_profiles restricted to each pattern of nonzero counts
-    for row, sel, pattern, out in zip(block.astype(float), nonzero, patterns, log_density):
-        # one BLAS matvec over the row's nonzero counts, the same call for a
-        # lone record and for a block row: zeros never meet a log(0), and
-        # every row keeps the BLAS kernel's rounding (fused multiply-adds),
-        # which an element-wise sum over the outcomes would not reproduce;
-        # an all-zero record selects no column, and the product writes 0.0
-        if pattern not in selected:
-            selected[pattern] = log_profiles[:, sel]
-        np.matmul(selected[pattern], row[sel], out=out)
+    # one contraction per block and no BLAS call: each node's log likelihood
+    # is the column-ordered sum of count times log probability, each product
+    # and sum rounded once, so a block row keeps the bits of its lone record
+    np.einsum("rk,kg->rg", block.astype(float), np.maximum(log_profiles.T, LOG_FLOOR, order="C"), out=log_density)
     peak = np.max(log_density, axis=1)
-    dead = np.flatnonzero(~np.isfinite(peak))
+    # an impossible record peaks at or below the floor, any possible node above -7e21
+    dead = np.flatnonzero(peak <= 0.5 * LOG_FLOOR)
     if dead.size:
         raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {block[dead[0]].tolist()}")
     log_density -= peak[:, None]

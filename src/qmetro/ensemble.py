@@ -53,11 +53,11 @@ and shortest-interval call per block, on the block's support; each record's
 estimate is bit-identical to that record solved alone, and to it solved over
 every node.
 
-Every bit identity above holds for one numpy build, SIMD dispatch level and
-BLAS kernel. Another OpenBLAS kernel rounds the log-likelihood matvecs
-differently: OPENBLAS_CORETYPE=Prescott on a SkylakeX host moves 7 printed
-sigma_l_ci fields of the large-nu workload at seed 1, by at most 7.8e-12
-relative.
+Numerics contract (v2): a node's log likelihood is the column-ordered sum of
+count times log probability, each product and sum rounded once, with no BLAS
+call (v1: one BLAS matvec per block row). The bit identities above hold for
+one numpy build and SIMD dispatch level, which round exp and log. A noiseless
+sweep's bits held across four OpenBLAS kernels; a noisy one's channel uses BLAS.
 
 A sweep reads every setting from one ExperimentConfig, which each cell
 receives whole with its own alpha and nu. It returns one SweepRow per cell,
@@ -80,6 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bayes import (
+    LOG_FLOOR,
     check_counts,
     check_interval_target,
     min_confidence_interval,
@@ -182,10 +183,10 @@ def _record_pmf(profiles: np.ndarray, nu: int) -> np.ndarray:
     renormalised row of an (n_phi, 4) profile table: shape (n_phi, records)."""
     records, log_coefficients = _record_table(nu)
     p = profiles / profiles.sum(axis=1, keepdims=True)
-    # log 0 is floored at -1e300: a zero count still adds exactly 0, and a
+    # log 0 is floored at LOG_FLOOR: a zero count still adds exactly 0, and a
     # record that counts an impossible outcome still has a pmf of exactly 0
     with np.errstate(divide="ignore"):
-        log_p = np.maximum(np.log(p), -1e300)
+        log_p = np.maximum(np.log(p), LOG_FLOOR)
     return np.exp(log_coefficients + log_p @ records.T)
 
 
@@ -252,9 +253,9 @@ def grid_tables(alpha: float, noise: NoiseModel, domain: tuple[float, float], gr
         raise ValueError(f"domain {domain} is too narrow: {grid_size} nodes must be {least:.3g} apart")
     profiles = profile_grid(alpha, nodes, noise)
     log_profiles, merge = _merged_table(profiles, QUBIT_MAP)
-    # each outcome's log probability as the table scores it: its map row
-    # times the log columns, skipping the columns (maybe log 0) it does not reach
-    scored = (merge * np.where(merge > 0, log_profiles[:, None, :], 0.0)).sum(axis=2)
+    # each outcome's log probability as the table scores it: its map row times
+    # the floored log columns, where a column it does not reach adds -0.0
+    scored = np.maximum(log_profiles, LOG_FLOOR) @ merge.T
     if np.abs(np.exp(scored) - profiles).max() > PROFILE_MATCH:
         log_profiles, merge = _merged_table(profiles, np.eye(4, dtype=np.int64))
     # the cache hands these same arrays to every caller

@@ -163,11 +163,11 @@ def interval_probability(grid, a, b):
 
 
 def posterior_loop(nodes, log_profiles, counts):
-    """One record's normalised density and cumulative table: log likelihood over
-    the nonzero counts, trapezoid segments, running sum."""
+    """One record's normalised density and cumulative table: log likelihood as
+    the column-ordered sum over the nonzero counts (each product and each sum
+    rounded once), trapezoid segments, running sum."""
     k = np.asarray(counts)
-    sel = k > 0
-    log_post = log_profiles[:, sel] @ k[sel].astype(float) if sel.any() else np.zeros(len(nodes))
+    log_post = sum((log_profiles[:, c] * float(k[c]) for c in np.flatnonzero(k)), np.zeros(len(nodes)))
     density = np.exp(log_post - np.max(log_post))
     segment_mass = 0.5 * (density[1:] + density[:-1]) * np.diff(nodes)
     cumulative = np.concatenate(([0.0], np.cumsum(segment_mass)))

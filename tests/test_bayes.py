@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qmetro.bayes import (
     most_probable,
     posterior_from_log_profiles,
 )
-from qmetro.ensemble import grid_tables, sufficient_records
+from qmetro.ensemble import MAX_COUNT, grid_tables, sufficient_records
 from qmetro.quantum import NOISELESS, NoiseModel, measurement_probabilities
 
 from oracles import (
@@ -49,12 +50,12 @@ def every_node_posterior(nodes, log_profiles, counts):
     return posterior_from_log_profiles(nodes, log_profiles, counts, columns=slice(None))
 
 
-def custom_posterior(profile_at, counts):
+def custom_posterior(profile_at, counts, columns=None):
     """Posterior for an arbitrary outcome-probability function on the default grid."""
     nodes = np.linspace(0.0, HALF_PI, DEFAULT_GRID_SIZE)
     with np.errstate(divide="ignore"):
         log_profiles = np.log([profile_at(x) for x in nodes])
-    return posterior_from_log_profiles(nodes, log_profiles, counts)
+    return posterior_from_log_profiles(nodes, log_profiles, counts, columns=columns)
 
 
 def cos4_cdf(b):
@@ -464,6 +465,29 @@ class TestBlocks:
         with pytest.raises(DegenerateEvidenceError, match=r"counts \[2, 0, 0, 0\]$"):
             custom_posterior(dead, block)
         custom_posterior(dead, [block[0], block[1], block[3]])
+        # Records of 2 MAX_COUNT outcomes, the most a product table's map
+        # makes, meet log 0 with positive counts (row 0 at both ends, row 1 at
+        # phi = 0, row 2 everywhere) and with zero counts (every row): no sum
+        # overflows, and only the row impossible everywhere is named
+        ends = lambda phi: np.array([phi / HALF_PI, 1.0 - phi / HALF_PI, 0.0, 0.0])
+        most = 2 * MAX_COUNT
+        block = [[most // 2, most - most // 2, 0, 0], [most, 0, 0, 0], [0, 0, 1, most - 1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateEvidenceError, match=rf"counts \[0, 0, 1, {most - 1}\]$"):
+                custom_posterior(ends, block)
+            grid = custom_posterior(ends, block[:2], columns=slice(None))
+            # the separable probe's flipped class is log 0 at phi = 0; its
+            # records of MAX_COUNT outcomes become 2 MAX_COUNT qubit outcomes
+            nodes, log_profiles, merge = grid_tables(0.0, NOISELESS, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
+            records = sufficient_records([[0, 0, MAX_COUNT, 0], [MAX_COUNT, 0, 0, 0]], merge)
+            separable = every_node_posterior(nodes, log_profiles, records)
+        for density in (grid.density, separable.density):
+            assert np.all(np.isfinite(density)) and np.all(density.max(axis=1) > 0.0)
+        assert grid.density[0, 0] == grid.density[0, -1] == grid.density[1, 0] == 0.0
+        assert grid.density[1, -1] > 0.0
+        # the zero count leaves phi = 0 the mode; the positive one rules it out
+        assert separable.density[0, 0] > 0.0 and separable.density[1, 0] == 0.0
 
     def test_unconverged_row_named(self):
         # the root lands an ulp off y = 1e-3 for this record and on it for the

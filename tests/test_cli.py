@@ -436,22 +436,30 @@ class TestSweepCommand:
         assert not (tmp_path / "r_relative.svg").exists()
 
     def test_bits_hold_for_one_blas_kernel(self, tmp_path):
-        # A seed and config fix a sweep's bytes only under one numpy build, SIMD
-        # dispatch level and BLAS kernel. OpenBLAS's Prescott kernel rounds the
-        # log-likelihood matvecs differently from a newer one, which moves last
-        # digits of the printed lengths and SDs, and no more than that.
-        config = tmp_path / "k.cfg"
-        config.write_text("alphas=0,0.5\nnus=100,1000\nn_e=40\nn_phi=4\ngrid_size=256\n")
+        # The log likelihood calls no BLAS, so a noiseless sweep's bytes are
+        # the same under every OpenBLAS kernel. The dephasing channel's
+        # batched products do go through BLAS: under the Prescott kernel a
+        # noisy sweep moves last digits of the printed lengths and SDs, and
+        # no more than that.
         env = dict(os.environ, PYTHONPATH=str(Path(qmetro.__file__).parents[1]))
         env.pop("OPENBLAS_CORETYPE", None)
-        texts = []
-        for i, kernel in enumerate(({}, {}, {"OPENBLAS_CORETYPE": "Prescott"})):
-            out = tmp_path / f"r{i}.csv"
-            argv = ["sweep", "--config", str(config), "--seed", "1", "--output", str(out)]
-            subprocess.run([sys.executable, "-m", "qmetro.cli", *argv], env={**env, **kernel}, check=True)
-            texts.append(out.read_text())
-        assert texts[0] == texts[1]
-        for row, other in zip(parse_csv(texts[0]), parse_csv(texts[2]), strict=True):
+
+        def run(name, settings, kernels):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text("alphas=0,0.5\nnus=100,1000\nn_e=40\nn_phi=4\ngrid_size=256\n" + settings)
+            texts = []
+            for kernel in kernels:
+                out = tmp_path / f"{name}-{kernel or 'default'}.csv"
+                argv = ["sweep", "--config", str(config), "--seed", "1", "--output", str(out)]
+                kernel_env = {"OPENBLAS_CORETYPE": kernel} if kernel else {}
+                subprocess.run([sys.executable, "-m", "qmetro.cli", *argv], env={**env, **kernel_env}, check=True)
+                texts.append(out.read_text())
+            return texts
+
+        noiseless = run("noiseless", "", (None, "Prescott", "Haswell", "Sandybridge"))
+        assert len(set(noiseless)) == 1
+        noisy = run("noisy", "eta=0.9\n", (None, "Prescott"))
+        for row, other in zip(parse_csv(noisy[0]), parse_csv(noisy[1]), strict=True):
             for field, value in row._asdict().items():
                 # an SD is compared against its row's mean: it can be a
                 # difference of values that agree to their last digits
