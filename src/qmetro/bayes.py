@@ -57,10 +57,9 @@ class ConfidenceInterval:
 @dataclass(frozen=True)
 class PosteriorGrid:
     """Normalized posterior density on a run of G >= 2 of the nodes of
-    ensemble.grid_tables (a block's support, or the columns its caller
-    names), which increase strictly by at least the smallest normal float,
-    with its cumulative-mass table, each of shape (G,) for one record or
-    (R, G) for a block."""
+    ensemble.grid_tables (a block's support, or every node), which increase
+    strictly by at least the smallest normal float, with its cumulative-mass
+    table, each of shape (G,) for one record or (R, G) for a block."""
 
     nodes: np.ndarray
     density: np.ndarray
@@ -91,15 +90,14 @@ def posterior_from_log_profiles(
     log_profiles: np.ndarray,
     counts: Sequence[int],
     *,
-    columns: slice | None = None,
+    every_node: bool = False,
 ) -> PosteriorGrid:
     """Posterior of one count record or a block of them, from per-node log
     outcome probabilities (shape (G, K)), as built by ensemble.grid_tables; a
     record holds one count per column of the table. The multinomial prefactor
     is omitted; it cancels in normalization.
 
-    The grid is the given columns of the nodes, a step-1 slice of at least
-    two (slice(None) for all of them), or by default the block's support:
+    The grid is every node if every_node is set, else the block's support:
     the columns where some row's density is above SUPPORT_CUT of its peak,
     and one node on each side, clipped to the grid. most_probable and
     min_confidence_interval give the bits of the every-node posterior on
@@ -137,13 +135,10 @@ def posterior_from_log_profiles(
     if dead.size:
         raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {block[dead[0]].tolist()}")
     log_density -= peak[:, None]
-    if columns is None:
+    lo, hi = 0, size
+    if not every_node:
         support = np.flatnonzero(log_density.max(axis=0) > SUPPORT_CUT)
-        columns = slice(max(support[0] - 1, 0), support[-1] + 2)
-    window = range(size)[columns] if isinstance(columns, slice) and columns.step in (None, 1) else range(0)
-    if len(window) < 2:
-        raise ValueError(f"columns must be a step-1 slice of at least 2 of the {size} grid nodes, got {columns!r}")
-    lo, hi = window.start, window.stop
+        lo, hi = max(support[0] - 1, 0), min(support[-1] + 2, size)
     rows, width = len(block), hi - lo
     # views of both fronts; the log densities are copied out before the
     # cumulative table is written over them
@@ -209,24 +204,16 @@ def min_confidence_interval(
     check_interval_target(y, tau)
     nodes = grid.nodes
     density, cumulative = np.atleast_2d(grid.density), np.atleast_2d(grid.cumulative)
-    # Each row's targets are nondecreasing, so a count of those at most a
-    # value is where a right-sided search would put it. The starts that
-    # reach mass y are those whose target stays within the total c[-1] = 1:
-    # a prefix of n_valid >= 1, as c[0] = 0. The starts up to `first` share
-    # the target of start 0 (their mass is below its rounding), hence one end
-    # and more cells than `first`: only `first` needs a search.
-    targets = cumulative + y
-    first = np.count_nonzero(targets <= targets[:, :1], axis=1) - 1
-    n_valid = np.count_nonzero(targets <= cumulative[:, -1:], axis=1)
-    # freed before the cells table is built: with both block-sized tables
-    # held at once, the allocator hands memory back after every block of a
-    # sweep and takes page faults to get it again
-    del targets
-    # the fewest cells from each searched start that hold y; a start not
-    # searched gets more cells than any interval spans
+    # The starts that reach mass y are those whose target c[i] + y stays
+    # within the total c[-1] = 1: as the targets are nondecreasing, a prefix
+    # of n >= 1 (c[0] = 0), which a right-sided search counts. Each of them
+    # gets the fewest cells that hold y from it; a start past them gets more
+    # cells than any interval spans.
     cells = np.full(cumulative.shape, len(nodes))
-    for c, f, n, out in zip(cumulative, first.tolist(), n_valid.tolist(), cells):
-        out[f:n] = np.searchsorted(c, c[f:n] + y, side="left") - np.arange(f, n)
+    for c, out in zip(cumulative, cells):
+        targets = c + y
+        n = targets.searchsorted(c[-1], side="right")
+        out[:n] = c.searchsorted(targets[:n], side="left") - np.arange(n)
     fewest = cells.min(axis=1)
     # the tied starts, by row and then by start
     rows, i = np.divmod(np.flatnonzero(cells == fewest[:, None]), len(nodes))

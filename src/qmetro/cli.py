@@ -63,7 +63,7 @@ def cmd_posterior(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
     nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, cfg.noise, cfg.domain, cfg.grid_size)
     # every node is printed, so the posterior is normalized over every column
     records = ensemble.sufficient_records(counts, merge)
-    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, records, columns=slice(None))
+    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, records, every_node=True)
 
     lines = ["phi,density"]
     lines += [

@@ -389,3 +389,18 @@ def parse_csv(text):
             raise ValueError(f"malformed CSV row: {line!r}")
         rows.append(ResultRow(*(parse(x) for parse, x in zip(CSV_PARSERS, f))))
     return rows
+
+
+def assert_csvs_close(text, other, rel):
+    """Assert that two sweep CSVs hold the same rows: each float of `other`
+    within rel of the first's, relative to its own size, or for an SD to its
+    row's mean (an SD can be a difference of values that agree to their last
+    digits); every other field equal."""
+    for row, moved in zip(parse_csv(text), parse_csv(other), strict=True):
+        for field, value in row._asdict().items():
+            got = getattr(moved, field)
+            if isinstance(value, float) and isinstance(got, float):
+                scale = getattr(row, field.replace("sigma", "mu"))
+                assert abs(got - value) <= rel * abs(scale), (row, field, got)
+            else:
+                assert got == value, (row, field, got)

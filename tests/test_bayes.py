@@ -47,15 +47,15 @@ def posterior(alpha, counts, domain=(0.0, HALF_PI), grid_size=DEFAULT_GRID_SIZE)
 
 def every_node_posterior(nodes, log_profiles, counts):
     """The posterior normalized over every node, as qmetro posterior prints it."""
-    return posterior_from_log_profiles(nodes, log_profiles, counts, columns=slice(None))
+    return posterior_from_log_profiles(nodes, log_profiles, counts, every_node=True)
 
 
-def custom_posterior(profile_at, counts, columns=None):
+def custom_posterior(profile_at, counts, every_node=False):
     """Posterior for an arbitrary outcome-probability function on the default grid."""
     nodes = np.linspace(0.0, HALF_PI, DEFAULT_GRID_SIZE)
     with np.errstate(divide="ignore"):
         log_profiles = np.log([profile_at(x) for x in nodes])
-    return posterior_from_log_profiles(nodes, log_profiles, counts, columns=columns)
+    return posterior_from_log_profiles(nodes, log_profiles, counts, every_node=every_node)
 
 
 def cos4_cdf(b):
@@ -476,7 +476,7 @@ class TestBlocks:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateEvidenceError, match=rf"counts \[0, 0, 1, {most - 1}\]$"):
                 custom_posterior(ends, block)
-            grid = custom_posterior(ends, block[:2], columns=slice(None))
+            grid = custom_posterior(ends, block[:2], every_node=True)
             # the separable probe's flipped class is log 0 at phi = 0; its
             # records of MAX_COUNT outcomes become 2 MAX_COUNT qubit outcomes
             nodes, log_profiles, merge = grid_tables(0.0, NOISELESS, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
@@ -568,18 +568,6 @@ class TestSupport:
         assert min(widths[3000]) < 1.0
         assert max(widths[0]) == min(widths[0]) == 1.0
         assert two_modes == (alpha in (1 / 6, 0.5))
-
-    @pytest.mark.parametrize(
-        "columns",
-        [slice(5, 6), slice(5, 5), slice(0, 10, 2), slice(-1, None), 5],
-        ids=["one-node", "empty", "step-2", "last-node", "not-a-slice"],
-    )
-    def test_window_without_two_nodes_rejected(self, columns):
-        # a lone node has no segment to normalize by, and a strided window is
-        # not a run of nodes; the warnings filter makes any numpy warning fail
-        nodes, log_profiles, merge = grid_tables(0.5, NOISELESS, (0.0, HALF_PI), 64)
-        with pytest.raises(ValueError, match=re.escape(f"got {columns!r}")):
-            posterior_from_log_profiles(nodes, log_profiles, sufficient_records([3, 1, 2, 4], merge), columns=columns)
 
 
 def scaled(mantissa, exponent):
@@ -675,9 +663,10 @@ def test_end_cell_root(alpha, eta, grid_size, y, nus, tie, seed):
     check_end_cell_root(grid, y, min_confidence_interval(grid, y, 1e-3))
 
 
-def test_first_shortcut():
-    # posteriors concentrated away from 0: their lowest starts share start 0's
-    # target, so the scan searches from `first`; (500, 500) is symmetric about pi/4
+def test_posteriors_concentrated_away_from_zero():
+    # their lowest starts share start 0's target and so its end: of them,
+    # only the last can hold y in the fewest cells; (500, 500) is symmetric
+    # about pi/4
     grid = posterior(0.5, [[0, 0, 0, 0], [250] * 4, [20, 0, 0, 30]])
     c = grid.cumulative[1:]
     assert np.all(c[:, 1] + 0.95 == 0.95)

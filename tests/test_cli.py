@@ -23,7 +23,7 @@ from qmetro.ensemble import grid_tables, sweep, relative_uncertainty
 from qmetro.quantum import NOISELESS
 from qmetro.svgplot import line_plot
 
-from oracles import parse_csv
+from oracles import assert_csvs_close, parse_csv
 
 
 class TestParseConfig:
@@ -459,15 +459,7 @@ class TestSweepCommand:
         noiseless = run("noiseless", "", (None, "Prescott", "Haswell", "Sandybridge"))
         assert len(set(noiseless)) == 1
         noisy = run("noisy", "eta=0.9\n", (None, "Prescott"))
-        for row, other in zip(parse_csv(noisy[0]), parse_csv(noisy[1]), strict=True):
-            for field, value in row._asdict().items():
-                # an SD is compared against its row's mean: it can be a
-                # difference of values that agree to their last digits
-                scale = getattr(row, field.replace("sigma", "mu"))
-                if isinstance(value, float):
-                    assert abs(getattr(other, field) - value) <= 1e-10 * abs(scale), (row, field)
-                else:
-                    assert getattr(other, field) == value
+        assert_csvs_close(*noisy, 1e-10)
 
     def test_import_loads_no_process_pool(self):
         # a serial run never starts a pool, so the CLI imports it only where one starts
@@ -632,6 +624,27 @@ class TestCsvSchema:
         # blank fields, mean rows, -0.0 and large nu come back as written
         text = render_csv(rows)
         assert render_csv(parse_csv(text)) == text
+
+    def test_csv_comparison_bound(self):
+        # a float may move by the bound times its own size, an SD by the bound
+        # times its row's mean, and an int not at all
+        rows = [
+            ResultRow(0.5, 1.0, 1, 100, 0.3, 0.31, 0.02, 0.25, 0.01, None),
+            ResultRow(0.5, 1.0, 1, 100, None, None, None, 0.25, None, 0.7),
+        ]
+        text, rel = render_csv(rows), 1e-6
+
+        def moved(index, **fields):
+            return render_csv([row._replace(**fields) if r == index else row for r, row in enumerate(rows)])
+
+        for index, field in ((0, "mu_phi_mp"), (0, "sigma_l_ci"), (1, "baseline_ratio")):
+            row = rows[index]
+            step = rel * abs(getattr(row, field.replace("sigma", "mu")))
+            assert_csvs_close(text, moved(index, **{field: getattr(row, field) + 0.5 * step}), rel)
+            with pytest.raises(AssertionError):
+                assert_csvs_close(text, moved(index, **{field: getattr(row, field) + 2.0 * step}), rel)
+        with pytest.raises(AssertionError):
+            assert_csvs_close(text, moved(0, nu=101), rel)
 
     def test_twelve_significant_digits(self):
         assert format_number(math.pi) == "3.14159265359"
