@@ -7,8 +7,9 @@ measurement counts do not underflow.
 
 Every function takes one count record (shape (K,)) or a block of R records
 (shape (R, K)), one count per column of the log-probability table, and works
-row by row on the block; a single record is a block of one, and each row's
-result is bit-identical to that record solved alone.
+row by row on the block. A record alone is solved over every node, a block
+over its support, and each block row's most probable value and interval have
+the bits of its record solved alone.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class PosteriorGrid:
-    """Normalized posterior density on a run of G >= 2 of the nodes of
-    ensemble.grid_tables (a block's support, or every node), which increase
-    strictly by at least the smallest normal float, with its cumulative-mass
-    table, each of shape (G,) for one record or (R, G) for a block."""
+    """Normalized posterior density on G >= 2 successive nodes of
+    ensemble.grid_tables (every node for one record, a block's support),
+    which rise strictly by at least the smallest normal float, and its
+    cumulative-mass table, of shape (G,) for one record or (R, G) for a block."""
 
     nodes: np.ndarray
     density: np.ndarray
@@ -85,44 +86,40 @@ def _per_record(grid: PosteriorGrid, values: np.ndarray):
     return float(values[0]) if grid.density.ndim == 1 else values
 
 
-def posterior_from_log_profiles(
-    nodes: np.ndarray,
-    log_profiles: np.ndarray,
-    counts: Sequence[int],
-    *,
-    every_node: bool = False,
-) -> PosteriorGrid:
+def posterior_from_log_profiles(nodes: np.ndarray, log_profiles: np.ndarray, counts: Sequence[int]) -> PosteriorGrid:
     """Posterior of one count record or a block of them, from per-node log
     outcome probabilities (shape (G, K)), as built by ensemble.grid_tables; a
     record holds one count per column of the table. The multinomial prefactor
     is omitted; it cancels in normalization.
 
-    The grid is every node if every_node is set, else the block's support:
-    the columns where some row's density is above SUPPORT_CUT of its peak,
-    and one node on each side, clipped to the grid. most_probable and
-    min_confidence_interval give the bits of the every-node posterior on
-    the support.
+    One record (shape (K,)) is solved over every node. A block (shape
+    (R, K)), one row included, is solved over its support: the columns where
+    some row's density is above SUPPORT_CUT of its peak, and one node on each
+    side, clipped to the grid. most_probable and min_confidence_interval give
+    each block row the bits of its record solved alone.
 
-    Why the bits agree. A dropped column's density is below 2**-100 of each
-    row's peak, while the segments beside the peak alone hold at least half
-    of peak * dx, so the dropped mass is at most 2 G 2**-100 of a row's
-    total (2**-88 at G = 1024). Each segment past the window is below half
-    an ulp of the running sum it would be added to, so it leaves that sum,
-    the total and the normalization as they are. The segments before the
-    window shift each cumulative value by at most that 2 G 2**-100 of the
-    total. Near y and 1 - y, which the search compares with and which are
-    both at least 2**-53, that is at most 2**-35 of a value at G = 1024, so
-    a comparison or a rounding can change only where a value lies that
-    close to y or to a rounding boundary. The mode is the same node: each
-    row's peak, at shifted log density 0, is in the support.
+    Why the bits agree. The contraction sums each node's products in column
+    order whatever the block, so a row's log densities are those of its
+    record alone, and only the grid differs. A dropped column's density is
+    below 2**-100 of the row's peak, while the segments beside the peak
+    alone hold at least half of peak * dx, so the dropped mass is at most
+    2 G 2**-100 of the row's total (2**-88 at G = 1024). Each segment past
+    the window is below half an ulp of the running sum it would be added to,
+    so it leaves that sum, the total and the normalization as they are. The
+    segments before the window shift each cumulative value by at most that
+    2 G 2**-100 of the total. Near y and 1 - y, which the search compares
+    with and which are both at least 2**-53, that is at most 2**-35 of a
+    value at G = 1024, so a comparison or a rounding can change only where a
+    value lies that close to y or to a rounding boundary. The mode is the
+    same node: the row's peak, at shifted log density 0, is in the support.
     tests/test_bayes.py checks both solves bit for bit.
     """
     k = check_counts(counts, log_profiles.shape[1])
     block = np.atleast_2d(k)
     size = len(log_profiles)
     # one allocation per block: the shifted log densities fill table[0]; the
-    # window's density is then copied to the front of table[1], and its
-    # cumulative table written over the front of table[0]
+    # window's density is then written to the front of table[1], and its
+    # cumulative table over the front of table[0]
     table = np.empty((2, len(block), size))
     log_density = table[0]
     # one contraction per block and no BLAS call: each node's log likelihood
@@ -136,16 +133,15 @@ def posterior_from_log_profiles(
         raise DegenerateEvidenceError(f"likelihood is zero everywhere for counts {block[dead[0]].tolist()}")
     log_density -= peak[:, None]
     lo, hi = 0, size
-    if not every_node:
+    if k.ndim == 2:
         support = np.flatnonzero(log_density.max(axis=0) > SUPPORT_CUT)
         lo, hi = max(support[0] - 1, 0), min(support[-1] + 2, size)
     rows, width = len(block), hi - lo
-    # views of both fronts; the log densities are copied out before the
+    # views of both fronts; exp reads the window's log densities before the
     # cumulative table is written over them
     cumulative, density = table.reshape(2, -1)[:, : rows * width].reshape(2, rows, width)
-    density[...] = log_density[:, lo:hi]
     nodes = nodes[lo:hi]
-    np.exp(density, out=density)
+    np.exp(log_density[:, lo:hi], out=density)
     # trapezoid segment masses, segment k at column k + 1
     cumulative[:, 0] = 0.0
     np.add(density[:, 1:], density[:, :-1], out=cumulative[:, 1:])

@@ -61,9 +61,8 @@ def cmd_posterior(ns: argparse.Namespace, cfg: ExperimentConfig) -> int:
     # a config file means the same to both commands: it must be valid for a sweep
     ensemble.check_sweep(cfg)
     nodes, log_profiles, merge = ensemble.grid_tables(ns.alpha, cfg.noise, cfg.domain, cfg.grid_size)
-    # every node is printed, so the posterior is normalized over every column
     records = ensemble.sufficient_records(counts, merge)
-    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, records, every_node=True)
+    grid = bayes.posterior_from_log_profiles(nodes, log_profiles, records)
 
     lines = ["phi,density"]
     lines += [

@@ -100,6 +100,7 @@ PARSERS = {
 
 def _entries(source: str, flags: dict[str, str | None]):
     """(key, raw value, where it was set) for each config line, then each flag given."""
+    set_on = {}
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
         # a '#' inside a value, as in output=run#3.csv, is part of the value
         line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
@@ -111,6 +112,8 @@ def _entries(source: str, flags: dict[str, str | None]):
         key, raw = key.strip(), raw.strip()
         if key not in PARSERS:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
+        if set_on.setdefault(key, line_no) != line_no:
+            raise ConfigError(f"line {line_no}: key '{key}' is already set on line {set_on[key]}")
         yield key, raw, f"line {line_no}: key '{key}'"
     for key, raw in flags.items():
         if raw is not None:
@@ -122,8 +125,8 @@ def parse_config(source: str, flags: dict[str, str | None] | None = None) -> Exp
     a line or after whitespace opens a comment), then the raw values of CLI
     flags by key, which override it; a None flag is not given.
 
-    Unknown keys and malformed values raise ConfigError naming the offending
-    key and line, or the flag (--n-steps for n_steps).
+    Unknown or repeated keys and malformed values raise ConfigError naming the
+    offending key and line, or the flag (--n-steps for n_steps).
     """
     values = {}
     for key, raw, where in _entries(source, flags or {}):

@@ -50,8 +50,7 @@ at some angle). The draws themselves are over 4-count records, merged only
 after sampling, so the seed contract does not depend on the table. The
 distinct records are solved in blocks of rows, one posterior, most-probable
 and shortest-interval call per block, on the block's support; each record's
-estimate is bit-identical to that record solved alone, and to it solved over
-every node.
+estimate is bit-identical to that record solved alone, over every node.
 
 Numerics contract (v2): a node's log likelihood is the column-ordered sum of
 count times log probability, each product and sum rounded once, with no BLAS

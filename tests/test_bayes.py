@@ -45,17 +45,12 @@ def posterior(alpha, counts, domain=(0.0, HALF_PI), grid_size=DEFAULT_GRID_SIZE)
     return posterior_from_log_profiles(nodes, log_profiles, sufficient_records(counts, merge))
 
 
-def every_node_posterior(nodes, log_profiles, counts):
-    """The posterior normalized over every node, as qmetro posterior prints it."""
-    return posterior_from_log_profiles(nodes, log_profiles, counts, every_node=True)
-
-
-def custom_posterior(profile_at, counts, every_node=False):
+def custom_posterior(profile_at, counts):
     """Posterior for an arbitrary outcome-probability function on the default grid."""
     nodes = np.linspace(0.0, HALF_PI, DEFAULT_GRID_SIZE)
     with np.errstate(divide="ignore"):
         log_profiles = np.log([profile_at(x) for x in nodes])
-    return posterior_from_log_profiles(nodes, log_profiles, counts, every_node=every_node)
+    return posterior_from_log_profiles(nodes, log_profiles, counts)
 
 
 def cos4_cdf(b):
@@ -384,9 +379,9 @@ class TestBlocks:
         assert len(records) > BLOCK + 1
         references = [posterior_loop(nodes, log_profiles, record) for record in records]
         for record, (density, cumulative) in zip(records, references):
-            # a lone record over every node matches the step-by-step
+            # a lone record, solved over every node, matches the step-by-step
             # reference bit for bit
-            grid = every_node_posterior(nodes, log_profiles, record)
+            grid = posterior_from_log_profiles(nodes, log_profiles, record)
             assert bits(grid.density) == bits(density)
             assert bits(grid.cumulative) == bits(cumulative)
         single = [solve(nodes, log_profiles, r) for r in records]
@@ -468,7 +463,9 @@ class TestBlocks:
         # Records of 2 MAX_COUNT outcomes, the most a product table's map
         # makes, meet log 0 with positive counts (row 0 at both ends, row 1 at
         # phi = 0, row 2 everywhere) and with zero counts (every row): no sum
-        # overflows, and only the row impossible everywhere is named
+        # overflows, only the row impossible everywhere is named, and each
+        # other row, solved alone over every node, is exactly 0 where it is
+        # impossible
         ends = lambda phi: np.array([phi / HALF_PI, 1.0 - phi / HALF_PI, 0.0, 0.0])
         most = 2 * MAX_COUNT
         block = [[most // 2, most - most // 2, 0, 0], [most, 0, 0, 0], [0, 0, 1, most - 1]]
@@ -476,18 +473,18 @@ class TestBlocks:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateEvidenceError, match=rf"counts \[0, 0, 1, {most - 1}\]$"):
                 custom_posterior(ends, block)
-            grid = custom_posterior(ends, block[:2], every_node=True)
+            rows = [custom_posterior(ends, record).density for record in block[:2]]
             # the separable probe's flipped class is log 0 at phi = 0; its
             # records of MAX_COUNT outcomes become 2 MAX_COUNT qubit outcomes
             nodes, log_profiles, merge = grid_tables(0.0, NOISELESS, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
             records = sufficient_records([[0, 0, MAX_COUNT, 0], [MAX_COUNT, 0, 0, 0]], merge)
-            separable = every_node_posterior(nodes, log_profiles, records)
-        for density in (grid.density, separable.density):
-            assert np.all(np.isfinite(density)) and np.all(density.max(axis=1) > 0.0)
-        assert grid.density[0, 0] == grid.density[0, -1] == grid.density[1, 0] == 0.0
-        assert grid.density[1, -1] > 0.0
+            separable = [posterior_from_log_profiles(nodes, log_profiles, r).density for r in records]
+        for density in rows + separable:
+            assert np.all(np.isfinite(density)) and density.max() > 0.0
+        assert rows[0][0] == rows[0][-1] == rows[1][0] == 0.0
+        assert rows[1][-1] > 0.0
         # the zero count leaves phi = 0 the mode; the positive one rules it out
-        assert separable.density[0, 0] > 0.0 and separable.density[1, 0] == 0.0
+        assert separable[0][0] > 0.0 and separable[1][0] == 0.0
 
     def test_unconverged_row_named(self):
         # the root lands an ulp off y = 1e-3 for this record and on it for the
@@ -527,11 +524,11 @@ SUPPORT_YS = (2.0**-52, 0.05, 0.95, 1 - 2.0**-53)
 class TestSupport:
     @pytest.mark.parametrize("alpha", [0.0, 1 / 6, 0.5, 1.0])
     def test_support_solve_matches_every_node_solve(self, alpha):
-        # A block, or a lone record, solved on its support gives the
-        # every-node solve's most probable value and interval bit for bit,
-        # and drops only columns below 2**-100 of each row's peak. On (0, pi)
-        # the entangled probes' posteriors can have two modes, and a window
-        # then spans both.
+        # A block, or a block of one row, solved on its support gives each
+        # row's record solved alone, over every node, its most probable value
+        # and interval bit for bit, and drops only columns below 2**-100 of
+        # each row's peak. On (0, pi) the entangled probes' posteriors can
+        # have two modes, and a window then spans both.
         rng = np.random.default_rng(24)
         widths, two_modes = {}, False
         cases = itertools.product((1.0, 0.9), ((0.0, HALF_PI), (0.0, np.pi)), (3, 64, 1024))
@@ -544,14 +541,14 @@ class TestSupport:
                     p = measurement_probabilities(alpha, phi, noise)
                     records.append(rng.multinomial(nu, p / p.sum()))
                 records = sufficient_records(np.array(records), merge)
-                for counts in [records, *records[:4]]:
+                for counts in (records, records[:1]):
                     grid = posterior_from_log_profiles(nodes, log_profiles, counts)
-                    every = every_node_posterior(nodes, log_profiles, counts)
+                    alone = [posterior_from_log_profiles(nodes, log_profiles, record) for record in counts]
                     lo = np.searchsorted(nodes, grid.nodes[0])
                     window = slice(lo, lo + len(grid.nodes))
                     assert bits(grid.nodes) == bits(nodes[window])
                     widths.setdefault(nu, []).append(len(grid.nodes) / grid_size)
-                    density = np.atleast_2d(every.density)
+                    density = np.array([every.density for every in alone])
                     outside = np.ones(grid_size, dtype=bool)
                     outside[window] = False
                     floor = 2.0**-100 * density.max(axis=1, keepdims=True)
@@ -561,13 +558,27 @@ class TestSupport:
                         live = density[:, window] >= floor
                         first, last = live.argmax(axis=1), live.shape[1] - live[:, ::-1].argmax(axis=1)
                         two_modes |= bool(np.any(last - first > live.sum(axis=1)))
-                    assert bits(most_probable(grid)) == bits(most_probable(every))
+                    assert bits(most_probable(grid)) == bits([most_probable(every) for every in alone])
                     for y in SUPPORT_YS:
-                        ci, ci_every = min_confidence_interval(grid, y), min_confidence_interval(every, y)
-                        assert bits((ci.a, ci.b, ci.mass)) == bits((ci_every.a, ci_every.b, ci_every.mass))
+                        ci, each = min_confidence_interval(grid, y), [min_confidence_interval(e, y) for e in alone]
+                        assert bits((ci.a, ci.b, ci.mass)) == bits(np.transpose([(c.a, c.b, c.mass) for c in each]))
         assert min(widths[3000]) < 1.0
         assert max(widths[0]) == min(widths[0]) == 1.0
         assert two_modes == (alpha in (1 / 6, 0.5))
+
+    def test_record_alone_is_solved_over_all_nodes(self):
+        # the counts' shape picks the grid: a concentrated record alone gets
+        # every node, and as a block of one row its shorter support, with
+        # the same most probable value and interval bits
+        nodes, log_profiles, merge = grid_tables(0.5, NOISELESS, (0.0, HALF_PI), DEFAULT_GRID_SIZE)
+        record = sufficient_records([1200, 300, 300, 1200], merge)
+        alone = posterior_from_log_profiles(nodes, log_profiles, record)
+        row = posterior_from_log_profiles(nodes, log_profiles, record[None, :])
+        assert bits(alone.nodes) == bits(nodes) and alone.density.shape == (DEFAULT_GRID_SIZE,)
+        assert len(row.nodes) < DEFAULT_GRID_SIZE / 4 and row.density.shape == (1, len(row.nodes))
+        assert bits(most_probable(row)) == bits(most_probable(alone))
+        ci, ci_alone = min_confidence_interval(row), min_confidence_interval(alone)
+        assert bits((ci.a, ci.b, ci.mass)) == bits(([ci_alone.a], [ci_alone.b], [ci_alone.mass]))
 
 
 def scaled(mantissa, exponent):

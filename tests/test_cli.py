@@ -74,8 +74,19 @@ class TestParseConfig:
 
     def test_hash_inside_value_is_kept(self):
         # a config line and the flag that sets the same key read a value alike
-        cfg = parse_config("output=run#3.csv\n#output=x.csv\noutput=run#3.csv\t# tab-led comment")
-        assert cfg.output == "run#3.csv" == parse_config("", {"output": "run#3.csv"}).output
+        for source in ("output=run#3.csv\n#output=x.csv", "output=run#3.csv\t# tab-led comment"):
+            assert parse_config(source).output == "run#3.csv" == parse_config("", {"output": "run#3.csv"}).output
+
+    def test_key_set_twice_named(self, tmp_path, capsys):
+        # a second line for a key is rejected, not silently taken over the first
+        message = "line 3: key 'nus' is already set on line 1"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config("nus=1\nseed=7\nnus=2\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("nus=1\nn_e=6\nn_phi=2\nnus=2\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == 2
+        assert "line 4: key 'nus' is already set on line 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_hash_glued_to_number_named(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match=r"^line 1: key 'alphas': not a number: '0\.5#x'$"):
@@ -321,6 +332,12 @@ grid_size=256
 """
 
 
+def small_config(key: str, raw: str) -> str:
+    """SMALL_CONFIG with key set to raw: its line replaced, or one added."""
+    lines = [line for line in SMALL_CONFIG.splitlines() if not line.startswith(f"{key}=")]
+    return "\n".join(lines + [f"{key}={raw}"]) + "\n"
+
+
 class TestSweepCommand:
     @pytest.fixture
     def config_path(self, tmp_path):
@@ -397,7 +414,7 @@ class TestSweepCommand:
     def test_largest_nu_runs(self, tmp_path, config_path):
         # twice the largest total fits int64, so a product table takes it; the
         # plots widen the one nu's x range by a 1 that survives at that size
-        config_path.write_text(SMALL_CONFIG + f"nus={2**62 - 1}\n")
+        config_path.write_text(small_config("nus", str(2**62 - 1)))
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(config_path), "--output", str(out), "--plot"]) == 0
         assert f",{2**62 - 1},mean," in out.read_text()
@@ -530,7 +547,7 @@ SETTING_CASES = [
 def test_invalid_setting_rejected(tmp_path, capsys, source, key, raw, named):
     cfg, out = tmp_path / "exp.cfg", tmp_path / "r.csv"
     in_file = source.endswith("-config")
-    cfg.write_text(SMALL_CONFIG + (f"{key}={raw}\n" if in_file else ""))
+    cfg.write_text(small_config(key, raw) if in_file else SMALL_CONFIG)
     command = source.removesuffix("-config")
     argv = {
         "probs": ["probs", "--alpha", "0.5", "--phi", "0.3"],
@@ -580,13 +597,13 @@ def test_every_sweep_key_reaches_the_cell(tmp_path, monkeypatch, key, raw):
             return min_confidence_interval(grid, y, tau)
 
         monkeypatch.setattr(ensemble, "min_confidence_interval", spy)
-        cfg.write_text(SMALL_CONFIG + f"{key}={raw}\n")
+        cfg.write_text(small_config(key, raw))
         assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
         assert taus and set(taus) == {float(raw)}
         return
     outputs = []
-    for extra in ("", f"{key}={raw}\n"):
-        cfg.write_text(SMALL_CONFIG + extra)
+    for source in (SMALL_CONFIG, small_config(key, raw)):
+        cfg.write_text(source)
         assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] != outputs[1]

@@ -1,7 +1,12 @@
 """Monte Carlo layer: sampling, trials, metrics, sweeps, and determinism."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +511,29 @@ class TestSweep:
         row = sweep(ExperimentConfig(alphas=(0.0,), nus=(100,), n_phi=2, n_e=n_e, seed=13))[0.0, 100]
         assert row.phis[1] == math.pi / 4
         assert abs(row.mu_phi_mp[1] - math.pi / 4) <= 4 * row.sigma_phi_mp[1] / math.sqrt(n_e)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap-trim threshold")
+    def test_warm_sweeps_reuse_the_block_tables(self):
+        # Each block's posterior tables take 512 KiB, at the edge of glibc's
+        # heap-trim threshold: a block whose tables are still held when the
+        # next block's are built makes the heap hand memory back to the
+        # system and fault it in again, about 1,400 minor faults per warm
+        # sweep of this config (large-nu's) against at most a few dozen
+        code = """if True:
+            import resource
+            from qmetro.config import ExperimentConfig
+            from qmetro.ensemble import sweep
+            cfg = ExperimentConfig(alphas=(0.0, 0.5), nus=(100, 300, 1000, 3000), n_phi=4, n_e=800, seed=1)
+            for _ in range(6):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                sweep(cfg)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(ensemble.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 6 and max(faults[2:]) <= 300, faults
 
 
 @pytest.fixture(scope="module")
